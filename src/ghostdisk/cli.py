@@ -102,7 +102,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     spec = make_spec(args.n, args.k)
     schedule = build_schedule(spec, args.order_mode)
     schedule_to_csv(schedule, args.out)
-    print(f"wrote {len(schedule.slots)} slots to {args.out}")
+    print(f"wrote {len(schedule.rows)} slots to {args.out}")
     return 0
 
 
@@ -145,7 +145,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_frame_ppm(frame, out / f"frame_{index:04d}.ppm")
         write_frame_txt(frame, out / f"frame_{index:04d}.txt")
     print(
-        f"simulated {len(result.trace.samples)} slots, "
+        f"simulated {len(result.trace.buckets)} slots, "
         f"wrote {len(result.frames)} frames to {out}"
     )
     return 0

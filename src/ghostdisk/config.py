@@ -23,7 +23,7 @@ from .scene import (
     builtin_letter,
     load_scene_ppm,
 )
-from .sim import WINDOW_MODES, TimingConfig
+from .sim import NOISE_SIGMA_MAX, WINDOW_MODES, TimingConfig
 
 __all__ = [
     "ConfigError",
@@ -133,8 +133,8 @@ def parse_value(key: str, text: str):
             value = float(text)
         except ValueError:
             raise ConfigError(f"noise_sigma: expected a number, got {text!r}") from None
-        if value < 0:
-            raise ConfigError(f"noise_sigma: must be >= 0, got {value}")
+        if not 0 <= value <= NOISE_SIGMA_MAX:
+            raise ConfigError(f"noise_sigma: must be in [0, {NOISE_SIGMA_MAX:g}], got {text!r}")
         return value
     if key == "out_dir":
         if not text:

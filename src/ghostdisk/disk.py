@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,41 +93,47 @@ class SlotDescriptor:
     pattern_index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanSchedule:
-    """One disk revolution: all n^2 slots in a declared order."""
+    """One disk revolution: all n^2 slots in a declared order.
+
+    Slot ``s`` lights cell ``cells[s]`` of row ``rows[s]`` with pattern
+    ``pattern_index[s]``; the three are int arrays of one length.
+    """
 
     spec: PartitionSpec
     order_mode: str
-    slots: tuple[SlotDescriptor, ...]
+    rows: np.ndarray
+    cells: np.ndarray
+    pattern_index: np.ndarray
+
+    @cached_property
+    def slots(self) -> tuple[SlotDescriptor, ...]:
+        """The slots as descriptors, for per-slot oracles such as place_pattern."""
+        return tuple(SlotDescriptor(s, *triple) for s, triple in enumerate(_triples(self)))
+
+
+def _triples(schedule: ScanSchedule):
+    """(row, cell, pattern_index) of each slot in order, as Python ints."""
+    return zip(schedule.rows.tolist(), schedule.cells.tolist(), schedule.pattern_index.tolist())
 
 
 def build_schedule(spec: PartitionSpec, order_mode: str = "pattern_major") -> ScanSchedule:
     """Enumerate one revolution of (row, cell, pattern) slots.
 
     ``pattern_major`` varies pattern_index slowest; ``part_major`` varies
-    (row, cell) slowest.  Deterministic for a given spec and mode.
+    (row, cell) slowest.  Deterministic for a given spec and mode.  The
+    arrays are read-only.
     """
     if order_mode not in ORDER_MODES:
         raise ValueError(f"order_mode must be one of {ORDER_MODES}, got {order_mode!r}")
-    slots = []
     if order_mode == "pattern_major":
-        triples = (
-            (row, cell, pattern)
-            for pattern in range(spec.n_cell)
-            for row in range(spec.n)
-            for cell in range(spec.k)
-        )
+        pattern, row, cell = np.indices((spec.n_cell, spec.n, spec.k)).reshape(3, -1)
     else:
-        triples = (
-            (row, cell, pattern)
-            for row in range(spec.n)
-            for cell in range(spec.k)
-            for pattern in range(spec.n_cell)
-        )
-    for index, (row, cell, pattern) in enumerate(triples):
-        slots.append(SlotDescriptor(slot_index=index, row=row, cell=cell, pattern_index=pattern))
-    return ScanSchedule(spec=spec, order_mode=order_mode, slots=tuple(slots))
+        row, cell, pattern = np.indices((spec.n, spec.k, spec.n_cell)).reshape(3, -1)
+    for array in (row, cell, pattern):
+        array.flags.writeable = False
+    return ScanSchedule(spec, order_mode, rows=row, cells=cell, pattern_index=pattern)
 
 
 def place_pattern(
@@ -194,18 +201,19 @@ def disk_layout(
             f"pattern length {patterns.pattern_length} does not match "
             f"cell width {spec.n_cell}"
         )
-    count = len(schedule.slots)
+    count = len(schedule.rows)
+    bits = [tuple(row) for row in patterns.patterns.tolist()]
     holes = tuple(
         HoleGroup(
-            slot_index=slot.slot_index,
-            row=slot.row,
-            cell=slot.cell,
-            pattern_index=slot.pattern_index,
-            track=slot.row,
-            angle_deg=Fraction(360 * slot.slot_index, count),
-            bits=tuple(int(b) for b in patterns.patterns[slot.pattern_index]),
+            slot_index=s,
+            row=row,
+            cell=cell,
+            pattern_index=p,
+            track=row,
+            angle_deg=Fraction(360 * s, count),
+            bits=bits[p],
         )
-        for slot in schedule.slots
+        for s, (row, cell, p) in enumerate(_triples(schedule))
     )
     return DiskLayout(
         spec=spec,
@@ -224,22 +232,24 @@ def disk_layout(
 def schedule_to_csv(schedule: ScanSchedule, path) -> None:
     """Write ``slot,row,cell,pattern`` lines in schedule order."""
     lines = ["slot,row,cell,pattern"]
-    for slot in schedule.slots:
-        lines.append(f"{slot.slot_index},{slot.row},{slot.cell},{slot.pattern_index}")
+    lines += [f"{s},{row},{cell},{p}" for s, (row, cell, p) in enumerate(_triples(schedule))]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def schedule_from_csv(path, spec: PartitionSpec, order_mode: str = "pattern_major") -> ScanSchedule:
-    """Rebuild a schedule from its CSV export."""
+    """Rebuild a schedule from its CSV export; slots must be numbered 0, 1, ..."""
     text = Path(path).read_bytes().decode("ascii")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "slot,row,cell,pattern":
         raise ValueError(f"{path}: missing 'slot,row,cell,pattern' header")
-    slots = []
-    for ln in lines[1:]:
+    triples = []
+    for expected, ln in enumerate(lines[1:]):
         index, row, cell, pattern = (int(tok) for tok in ln.split(","))
-        slots.append(SlotDescriptor(slot_index=index, row=row, cell=cell, pattern_index=pattern))
-    return ScanSchedule(spec=spec, order_mode=order_mode, slots=tuple(slots))
+        if index != expected:
+            raise ValueError(f"{path}: slot {index} where slot {expected} belongs")
+        triples.append((row, cell, pattern))
+    rows, cells, pattern_index = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return ScanSchedule(spec, order_mode, rows, cells, pattern_index)
 
 
 def layout_to_csv(layout: DiskLayout, path) -> None:

@@ -203,25 +203,22 @@ def affine_invert(
     span = coeffs.c_max - coeffs.c_min
     total_weight = coeffs.c_max + (spec.n_cell - 1) * coeffs.c_min
     flat = arr.reshape(spec.n, spec.k, spec.n_cell, -1)
-    out = np.zeros_like(flat)
-    for row in range(spec.n):
-        for cell in range(spec.k):
-            block = flat[row, cell]
-            sums = block.sum(axis=0)
-            if np.any(sums % total_weight != 0):
-                raise ValueError(
-                    f"cell (row={row}, cell={cell}) does not sum to a multiple "
-                    f"of {total_weight}; frame is not a whole-revolution sum"
-                )
-            cell_sum = sums // total_weight
-            numer = block - coeffs.c_min * cell_sum[None, :]
-            if np.any(numer % span != 0):
-                raise ValueError(
-                    f"cell (row={row}, cell={cell}) values are not an exact "
-                    "affine image of integers"
-                )
-            out[row, cell] = numer // span
-    return out.reshape(arr.shape)
+    sums = flat.sum(axis=2)
+    uneven = np.any(sums % total_weight != 0, axis=-1)
+    numer = flat - coeffs.c_min * (sums // total_weight)[:, :, None, :]
+    bad = uneven | np.any(numer % span != 0, axis=(2, 3))
+    if bad.any():
+        row, cell = (int(i) for i in np.argwhere(bad)[0])
+        if uneven[row, cell]:
+            raise ValueError(
+                f"cell (row={row}, cell={cell}) does not sum to a multiple "
+                f"of {total_weight}; frame is not a whole-revolution sum"
+            )
+        raise ValueError(
+            f"cell (row={row}, cell={cell}) values are not an exact "
+            "affine image of integers"
+        )
+    return (numer // span).reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

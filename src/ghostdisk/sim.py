@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,9 +43,9 @@ from .scene import SceneObject, Trajectory, as_fraction, translate_image
 
 __all__ = [
     "WINDOW_MODES",
+    "NOISE_SIGMA_MAX",
     "TimingConfig",
     "ExposureFrame",
-    "BucketSample",
     "BucketTrace",
     "SimulationResult",
     "bucket_value",
@@ -59,6 +58,11 @@ __all__ = [
 ]
 
 WINDOW_MODES = ("tumbling", "sliding")
+
+# rng.gaussian draws |z| <= sqrt(-2 ln 2**-53) = sqrt(106 ln 2) < 8.58, so a
+# sigma up to this bound keeps the rounded noise below 2**62 in magnitude,
+# and noise plus any bucket (at most 255 * n_cell) fits in int64.
+NOISE_SIGMA_MAX = 5e17
 
 
 @dataclass(frozen=True)
@@ -94,18 +98,16 @@ class ExposureFrame:
     image: np.ndarray
 
 
-@dataclass(frozen=True)
-class BucketSample:
-    """Detector reading for one slot: (red, green, blue) counts."""
-
-    t: Fraction
-    slot_index: int
-    values: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BucketTrace:
-    samples: tuple[BucketSample, ...]
+    """Detector readings over the simulated duration.
+
+    Row ``s`` of the ``(S, 3)`` int64 ``buckets`` holds slot ``s``'s
+    (red, green, blue) counts; slot ``s`` starts at ``s * slot_dt`` seconds.
+    """
+
+    buckets: np.ndarray
+    slot_dt: Fraction
 
 
 @dataclass(frozen=True)
@@ -125,59 +127,27 @@ def slot_contribution(mask: np.ndarray, bucket: np.ndarray) -> np.ndarray:
     return mask.astype(np.int64)[:, :, None] * np.asarray(bucket, dtype=np.int64)[None, None, :]
 
 
-@lru_cache(maxsize=32)
-def _slot_times(slot_dt: Fraction, slot_count: int) -> tuple[Fraction, ...]:
-    return tuple(s * slot_dt for s in range(slot_count))
-
-
-class _SlotTable:
-    """Schedule as flat arrays, repeated over revolutions as needed."""
-
-    def __init__(self, schedule: ScanSchedule, patterns: ReducedPatternSet):
-        spec = schedule.spec
-        self.n = spec.n
-        self.k = spec.k
-        self.n_cell = spec.n_cell
-        self.per_rev = spec.slots_per_revolution
-        self.rows = np.array([s.row for s in schedule.slots], dtype=np.intp)
-        self.cells = np.array([s.cell for s in schedule.slots], dtype=np.intp)
-        self.pattern_index = np.array([s.pattern_index for s in schedule.slots], dtype=np.intp)
-        self.col0 = self.cells * self.n_cell
-        self.bits = patterns.patterns.astype(np.int64)
-
-    def buckets_for(self, frame: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Bucket values for global slot numbers ``slots`` against one pose."""
-        j = slots % self.per_rev
-        rows = self.rows[j]
-        cols = self.col0[j][:, None] + np.arange(self.n_cell)[None, :]
-        seg = frame[rows[:, None], cols, :]
-        bits = self.bits[self.pattern_index[j]]
-        return np.einsum("sj,sjc->sc", bits, seg, dtype=np.int64)
-
-
 def _offset_blocks(
     trajectory: Trajectory, slot_dt: Fraction, slot_count: int
 ) -> list[tuple[int, int, tuple[int, int]]]:
     """Partition slots into runs of constant object pose.
 
     Returns (start_slot, end_slot, offset) triples.  Static trajectories
-    give one run; a hold interval gives one run per hold block; free
-    linear motion falls back to per-slot evaluation.
+    give one run; a hold interval gives one run per hold block that holds
+    a slot start; free linear motion falls back to per-slot evaluation.
     """
     if trajectory.mode == "static":
         return [(0, slot_count, (0, 0))]
     if trajectory.hold_interval is not None:
         hold = trajectory.hold_interval
         blocks = []
-        block = 0
-        while True:
-            lo = math.ceil(block * hold / slot_dt)
-            if lo >= slot_count:
-                break
+        lo = 0
+        while lo < slot_count:
+            # Jump to the block of slot lo, skipping blocks no slot starts in.
+            block = (lo * slot_dt) // hold
             hi = min(math.ceil((block + 1) * hold / slot_dt), slot_count)
-            if lo < hi:
-                blocks.append((lo, hi, trajectory.offset_at(lo * slot_dt)))
-            block += 1
+            blocks.append((lo, hi, trajectory.offset_at(lo * slot_dt)))
+            lo = hi
         return blocks
     blocks = []
     for s in range(slot_count):
@@ -213,16 +183,17 @@ def simulate(
         )
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma <= NOISE_SIGMA_MAX:
+        raise ValueError(f"noise_sigma must be in [0, {NOISE_SIGMA_MAX:g}], got {noise_sigma}")
     if scene.side != spec.n:
         raise ValueError(f"scene side {scene.side} does not match spec n {spec.n}")
 
-    table = _SlotTable(schedule, patterns)
-    slot_dt = timing.slot_duration(table.per_rev)
-    duration = timing.total_duration
-    window = timing.persistence_window
-    slot_count = math.ceil(duration / slot_dt)
+    per_rev = spec.slots_per_revolution
+    slot_dt = timing.slot_duration(per_rev)
+    slot_count = math.ceil(timing.total_duration / slot_dt)
+    # Per schedule slot: the lit columns of its cell and its pattern bits.
+    cols = (schedule.cells * spec.n_cell)[:, None] + np.arange(spec.n_cell)
+    bits = patterns.patterns.astype(np.int64)[schedule.pattern_index]
 
     base = scene.pixels.astype(np.int64)
     poses: dict[tuple[int, int], np.ndarray] = {(0, 0): base}
@@ -237,8 +208,9 @@ def simulate(
         for b_lo, b_hi, offset in blocks:
             lo2, hi2 = max(lo, b_lo), min(hi, b_hi)
             if lo2 < hi2:
-                slots = np.arange(lo2, hi2)
-                buckets[lo2:hi2] = table.buckets_for(poses[offset], slots)
+                j = np.arange(lo2, hi2) % per_rev
+                seg = poses[offset][schedule.rows[j, None], cols[j], :]
+                buckets[lo2:hi2] = np.einsum("sj,sjc->sc", bits[j], seg)
         if noise_sigma > 0:
             for s in range(lo, hi):
                 for channel in range(3):
@@ -254,73 +226,53 @@ def simulate(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda r: fill(*r), ranges))
 
-    times = _slot_times(slot_dt, slot_count)
-    samples = tuple(
-        BucketSample(
-            t=times[s],
-            slot_index=s,
-            values=(int(buckets[s, 0]), int(buckets[s, 1]), int(buckets[s, 2])),
-        )
-        for s in range(slot_count)
-    )
+    frames = _frames(schedule, bits, buckets, timing, slot_dt)
+    return SimulationResult(frames=frames, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt))
 
+
+def _frames(
+    schedule: ScanSchedule,
+    bits: np.ndarray,
+    buckets: np.ndarray,
+    timing: TimingConfig,
+    slot_dt: Fraction,
+) -> tuple[ExposureFrame, ...]:
+    """Exposure frames of either window mode, from one running accumulator.
+
+    Each window becomes the slot range [lo, hi) of the slots starting
+    inside it.  Window ends never pass the duration, so hi <= slot count,
+    and both bounds only grow from one window to the next: the accumulator
+    adds the slots that enter and subtracts those that leave, and starts
+    over from zero when a window shares no slot with the one before.
+    """
+    spec = schedule.spec
+    window, duration = timing.persistence_window, timing.total_duration
     if timing.window_mode == "tumbling":
-        frames = _tumbling_frames(table, slot_dt, window, duration, slot_count, buckets)
+        starts = [w * window for w in range(duration // window)]
     else:
-        frames = _sliding_frames(table, slot_dt, window, duration, slot_count, buckets)
-    return SimulationResult(frames=tuple(frames), trace=BucketTrace(samples=samples))
+        # One window per slot start while the window still fits.
+        starts = [i * slot_dt for i in range((duration - window) // slot_dt + 1)]
 
+    acc = np.zeros((spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
 
-def _accumulate(table: _SlotTable, buckets: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Sum of slot contributions for global slots [lo, hi), as an image."""
-    acc = np.zeros((table.n, table.k, table.n_cell, 3), dtype=np.int64)
-    if lo < hi:
-        j = np.arange(lo, hi) % table.per_rev
-        seg = table.bits[table.pattern_index[j]][:, :, None] * buckets[lo:hi, None, :]
-        np.add.at(acc, (table.rows[j], table.cells[j]), seg)
-    return acc.reshape(table.n, table.n, 3)
+    def add(lo: int, hi: int, sign: int) -> None:
+        j = np.arange(lo, hi) % spec.slots_per_revolution
+        terms = bits[j][:, :, None] * (sign * buckets[lo:hi, None, :])
+        np.add.at(acc, (schedule.rows[j], schedule.cells[j]), terms)
 
-
-def _tumbling_frames(table, slot_dt, window, duration, slot_count, buckets):
     frames = []
-    window_count = int(duration // window)
-    for w in range(window_count):
-        # Slots whose start time falls in [w*T, (w+1)*T).
-        lo = math.ceil(w * window / slot_dt)
-        hi = min(math.ceil((w + 1) * window / slot_dt), slot_count)
-        image = _accumulate(table, buckets, lo, hi)
-        frames.append(ExposureFrame(start=w * window, end=(w + 1) * window, image=image))
-    return frames
-
-
-def _sliding_frames(table, slot_dt, window, duration, slot_count, buckets):
-    frames = []
-    if duration < window:
-        return frames
-    length = math.ceil(window / slot_dt)
-    last_start = int((duration - window) // slot_dt)
-    j_all = np.arange(slot_count) % table.per_rev
-    seg_all = table.bits[table.pattern_index[j_all]][:, :, None] * buckets[:, None, :]
-    rows_all = table.rows[j_all]
-    cells_all = table.cells[j_all]
-    acc = np.zeros((table.n, table.k, table.n_cell, 3), dtype=np.int64)
-    hi0 = min(length, slot_count)
-    np.add.at(acc, (rows_all[:hi0], cells_all[:hi0]), seg_all[:hi0])
-    for i in range(last_start + 1):
-        if i > 0:
-            acc[rows_all[i - 1], cells_all[i - 1]] -= seg_all[i - 1]
-            tail = i + length - 1
-            if tail < slot_count:
-                acc[rows_all[tail], cells_all[tail]] += seg_all[tail]
-        start = i * slot_dt
-        frames.append(
-            ExposureFrame(
-                start=start,
-                end=start + window,
-                image=acc.reshape(table.n, table.n, 3).copy(),
-            )
-        )
-    return frames
+    cur_lo = cur_hi = 0
+    for start in starts:
+        lo, hi = math.ceil(start / slot_dt), math.ceil((start + window) / slot_dt)
+        if lo >= cur_hi:
+            acc[...] = 0
+            cur_lo = cur_hi = lo
+        add(cur_lo, lo, -1)
+        add(cur_hi, hi, 1)
+        cur_lo, cur_hi = lo, hi
+        image = acc.reshape(spec.n, spec.n, 3).copy()
+        frames.append(ExposureFrame(start=start, end=start + window, image=image))
+    return tuple(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +300,7 @@ def write_frame_txt(frame: ExposureFrame, path) -> None:
     lines = []
     for channel, name in enumerate(("red", "green", "blue")):
         lines.append(f"# channel {name}")
-        for row in frame.image[:, :, channel]:
-            lines.append(" ".join(str(int(v)) for v in row))
+        lines += (" ".join(map(str, row)) for row in frame.image[:, :, channel].tolist())
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -376,9 +327,14 @@ def read_frame_txt(path) -> np.ndarray:
 
 
 def write_bucket_csv(trace: BucketTrace, path) -> None:
-    """Write ``t,slot,red,green,blue`` rows, times as decimal seconds."""
+    """Write ``t,slot,red,green,blue`` rows, times as decimal seconds.
+
+    ``s * num / den`` divides Python ints with correct rounding, so each
+    time equals ``float(s * slot_dt)``.
+    """
+    num, den = trace.slot_dt.numerator, trace.slot_dt.denominator
     lines = ["t,slot,red,green,blue"]
-    for sample in trace.samples:
-        r, g, b = sample.values
-        lines.append(f"{float(sample.t)!r},{sample.slot_index},{r},{g},{b}")
+    lines += (
+        f"{s * num / den!r},{s},{r},{g},{b}" for s, (r, g, b) in enumerate(trace.buckets.tolist())
+    )
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))

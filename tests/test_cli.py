@@ -113,6 +113,14 @@ def test_simulate_bad_partition_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf", "1e300"])
+def test_simulate_unusable_noise_sigma_exits_2(tmp_path, capsys, sigma):
+    out = tmp_path / "x"
+    assert main(["simulate", *FAST, f"--noise-sigma={sigma}", "--out", str(out)]) == 2
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "none.cfg")]) == 2
 

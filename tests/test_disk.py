@@ -131,7 +131,10 @@ def test_schedule_csv_round_trip(tmp_path):
     assert lines[0] == "slot,row,cell,pattern"
     assert lines[1] == "0,0,0,0"
     back = disk.schedule_from_csv(path, spec, "part_major")
-    assert back == schedule
+    assert (back.spec, back.order_mode) == (schedule.spec, schedule.order_mode)
+    for field in ("rows", "cells", "pattern_index"):
+        assert np.array_equal(getattr(back, field), getattr(schedule, field))
+    assert back.slots == schedule.slots
 
 
 def test_schedule_csv_rejects_missing_header(tmp_path):
@@ -139,6 +142,21 @@ def test_schedule_csv_rejects_missing_header(tmp_path):
     path.write_text("0,0,0,0\n")
     with pytest.raises(ValueError, match="header"):
         disk.schedule_from_csv(path, disk.make_spec(3, 1))
+
+
+def test_schedule_csv_rejects_misnumbered_slots(tmp_path):
+    path = tmp_path / "schedule.csv"
+    path.write_text("slot,row,cell,pattern\n0,0,0,0\n2,0,0,1\n")
+    with pytest.raises(ValueError, match="slot 2 where slot 1 belongs"):
+        disk.schedule_from_csv(path, disk.make_spec(3, 1))
+
+
+def test_build_schedule_arrays_are_read_only():
+    schedule = disk.build_schedule(disk.make_spec(6, 2))
+    for array in (schedule.rows, schedule.cells, schedule.pattern_index):
+        assert array.shape == (36,)
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 def test_layout_csv_round_trip(tmp_path):

@@ -48,7 +48,13 @@ def test_measurement_matrix_is_block_diagonal_gram():
 
 def test_measurement_matrix_rejects_partial_schedule():
     spec, patterns, schedule = make_setup()
-    short = disk.ScanSchedule(spec=spec, order_mode="pattern_major", slots=schedule.slots[:-1])
+    short = disk.ScanSchedule(
+        spec=spec,
+        order_mode="pattern_major",
+        rows=schedule.rows[:-1],
+        cells=schedule.cells[:-1],
+        pattern_index=schedule.pattern_index[:-1],
+    )
     with pytest.raises(ValueError, match="revolution"):
         metrics.build_measurement_matrix(short, patterns)
 
@@ -182,6 +188,22 @@ def test_affine_invert_rejects_non_correlation_frames():
     frame[0, 0, 0] += 1
     with pytest.raises(ValueError, match="not"):
         metrics.affine_invert(frame, spec, patterns)
+    with pytest.raises(ValueError, match=r"cell \(row=0, cell=0\) does not sum"):
+        metrics.affine_invert(frame, spec, patterns)
+    # The first failing cell in row-major order is named, whichever check fails.
+    frame[0, 0, 0] -= 1
+    frame[4, 2, 1] += 1                       # row 4: sum no longer a multiple
+    frame[2, 1, 2] += 1                       # row 2: same sum, not affine
+    frame[2, 5, 2] -= 1
+    with pytest.raises(ValueError, match=r"cell \(row=2, cell=0\) values are not an exact"):
+        metrics.affine_invert(frame, spec, patterns)
+    frame[2, 1, 2] -= 1
+    frame[2, 5, 2] += 1
+    with pytest.raises(ValueError, match=r"cell \(row=4, cell=0\) does not sum"):
+        metrics.affine_invert(frame, spec, patterns)
+    # The same checks hold for a 2-D gray frame.
+    with pytest.raises(ValueError, match=r"cell \(row=4, cell=0\) does not sum"):
+        metrics.affine_invert(frame[:, :, 1], spec, patterns)
 
 
 def test_affine_invert_on_2d_gray_frame():

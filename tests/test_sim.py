@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
+import math
+import tempfile
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostdisk import disk, hadamard, metrics, scene, sim
 
@@ -29,6 +36,12 @@ def one_rev_timing(period=Fraction(1, 5)):
         window_mode="tumbling",
         total_duration=period,
     )
+
+
+def assert_traces_equal(a, b):
+    assert a.slot_dt == b.slot_dt
+    assert a.buckets.dtype == b.buckets.dtype == np.int64
+    assert np.array_equal(a.buckets, b.buckets)
 
 
 def test_bucket_value_matches_naive():
@@ -76,9 +89,9 @@ def test_frame_equals_sum_of_trace_contributions():
         noise_sigma=2.5, seed=99,
     )
     acc = np.zeros((6, 6, 3), dtype=np.int64)
-    for sample in result.trace.samples:
-        mask = disk.place_pattern(spec, schedule.slots[sample.slot_index % 36], patterns)
-        acc += sim.slot_contribution(mask, np.array(sample.values))
+    for s, bucket in enumerate(result.trace.buckets):
+        mask = disk.place_pattern(spec, schedule.slots[s % 36], patterns)
+        acc += sim.slot_contribution(mask, bucket)
     assert np.array_equal(result.frames[0].image, acc)
 
 
@@ -94,7 +107,7 @@ def test_three_revolutions_three_identical_frames():
     )
     result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
     assert len(result.frames) == 3
-    assert len(result.trace.samples) == 3 * 36
+    assert result.trace.buckets.shape == (3 * 36, 3)
     for w, frame in enumerate(result.frames):
         assert frame.start == w * period
         assert frame.end == (w + 1) * period
@@ -133,7 +146,7 @@ def test_incomplete_window_emits_no_frame():
     )
     result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
     assert result.frames == ()
-    assert len(result.trace.samples) == 9
+    assert result.trace.buckets.shape == (9, 3)
 
 
 def test_empty_windows_emit_zero_frames():
@@ -215,6 +228,48 @@ def test_moving_scene_is_sampled_at_slot_starts():
         assert np.array_equal(frame.image, oracle.reshape(7, 7, 3))
 
 
+def test_largest_noise_sigma_fits_int64():
+    spec, patterns, schedule = make_setup()
+    obj = random_scene(6, 17)
+    result = sim.simulate(
+        obj, scene.Trajectory(), schedule, patterns, one_rev_timing(),
+        noise_sigma=sim.NOISE_SIGMA_MAX, seed=5,
+    )
+    assert result.trace.buckets.max() > 10**17
+
+
+def test_fine_hold_interval_costs_slots_not_blocks():
+    spec, patterns, schedule = make_setup(n=7, k=1)
+    obj = scene.builtin_letter("T", 7, "white")
+    period = Fraction(1, 5)                        # 49 slots of 1/245 s
+    hold = Fraction(1, 10_000_000)
+    # v * t = +-s/14 is a rounding tie at slots 7, 21, 35; the hold takes t
+    # just below the slot start, so those slots round toward zero.
+    traj = scene.Trajectory(
+        mode="linear", velocity=(Fraction(245, 14), Fraction(-245, 14)), hold_interval=hold
+    )
+    timing = sim.TimingConfig(
+        revolution_period=period,
+        persistence_window=period / 7,
+        window_mode="tumbling",
+        total_duration=period,
+    )
+    start = time.perf_counter()
+    result = sim.simulate(obj, traj, schedule, patterns, timing)
+    assert time.perf_counter() - start < 1.0
+    slot_dt = period / 49
+    offsets = [traj.offset_at(s * slot_dt) for s in range(49)]
+    assert offsets[7] == (0, 0) and offsets[8] == (1, -1)
+    assert len(result.frames) == 7
+    for w, frame in enumerate(result.frames):
+        acc = np.zeros((7, 7, 3), dtype=np.int64)
+        for s in range(7 * w, 7 * w + 7):
+            mask = disk.place_pattern(spec, schedule.slots[s], patterns)
+            pose = scene.translate_image(obj.pixels, *offsets[s])
+            acc += sim.slot_contribution(mask, sim.bucket_value(mask, pose))
+        assert np.array_equal(frame.image, acc), w
+
+
 def test_noise_is_seed_deterministic_and_clamped():
     spec, patterns, schedule = make_setup()
     obj = random_scene(6, 11)
@@ -225,10 +280,10 @@ def test_noise_is_seed_deterministic_and_clamped():
         obj, scene.Trajectory(), schedule, patterns, one_rev_timing(),
         noise_sigma=50.0, seed=8,
     )
-    assert a.trace == b.trace
+    assert_traces_equal(a.trace, b.trace)
     assert np.array_equal(a.frames[0].image, b.frames[0].image)
-    assert a.trace != c.trace
-    assert all(v >= 0 for s in a.trace.samples for v in s.values)
+    assert not np.array_equal(a.trace.buckets, c.trace.buckets)
+    assert (a.trace.buckets >= 0).all()
 
 
 def test_zero_sigma_equals_noise_free():
@@ -239,13 +294,11 @@ def test_zero_sigma_equals_noise_free():
         obj, scene.Trajectory(), schedule, patterns, one_rev_timing(),
         noise_sigma=0.0, seed=123,
     )
-    assert a.trace == b.trace
+    assert_traces_equal(a.trace, b.trace)
     assert np.array_equal(a.frames[0].image, b.frames[0].image)
 
 
 def test_noise_matches_counter_indexing():
-    import math
-
     from ghostdisk import rng
 
     spec, patterns, schedule = make_setup()
@@ -256,13 +309,14 @@ def test_noise_matches_counter_indexing():
         obj, scene.Trajectory(), schedule, patterns, one_rev_timing(),
         noise_sigma=sigma, seed=seed,
     )
-    for s, (clean_sample, noisy_sample) in enumerate(
-        zip(clean.trace.samples, noisy.trace.samples)
+    assert noisy.trace.buckets.shape == clean.trace.buckets.shape
+    for s, (clean_row, noisy_row) in enumerate(
+        zip(clean.trace.buckets.tolist(), noisy.trace.buckets.tolist())
     ):
         for ch in range(3):
             z = rng.gaussian(seed, 3 * s + ch)
-            expected = max(0, clean_sample.values[ch] + math.floor(sigma * z + 0.5))
-            assert noisy_sample.values[ch] == expected
+            expected = max(0, clean_row[ch] + math.floor(sigma * z + 0.5))
+            assert noisy_row[ch] == expected
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
@@ -282,7 +336,7 @@ def test_parallel_equals_serial(workers):
         obj, scene.Trajectory(), schedule, patterns, timing,
         noise_sigma=4.0, seed=3, workers=workers,
     )
-    assert serial.trace == parallel.trace
+    assert_traces_equal(serial.trace, parallel.trace)
     assert len(serial.frames) == len(parallel.frames)
     for fa, fb in zip(serial.frames, parallel.frames):
         assert fa.start == fb.start and fa.end == fb.end
@@ -294,10 +348,11 @@ def test_simulate_validation():
     obj = random_scene(6, 15)
     with pytest.raises(ValueError, match="workers"):
         sim.simulate(obj, scene.Trajectory(), schedule, patterns, one_rev_timing(), workers=0)
-    with pytest.raises(ValueError, match="noise_sigma"):
-        sim.simulate(
-            obj, scene.Trajectory(), schedule, patterns, one_rev_timing(), noise_sigma=-1.0
-        )
+    for sigma in (-1.0, float("nan"), float("inf"), 1e300, 2 * sim.NOISE_SIGMA_MAX):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            sim.simulate(
+                obj, scene.Trajectory(), schedule, patterns, one_rev_timing(), noise_sigma=sigma
+            )
     with pytest.raises(ValueError, match="scene side"):
         sim.simulate(random_scene(8, 0), scene.Trajectory(), schedule, patterns, one_rev_timing())
     bad_patterns = hadamard.reduce_matrix(hadamard.sylvester_hadamard(8))
@@ -351,12 +406,92 @@ def test_frame_txt_round_trip(tmp_path):
 
 
 def test_bucket_csv_format(tmp_path):
-    trace = sim.BucketTrace(
-        samples=(
-            sim.BucketSample(t=Fraction(0), slot_index=0, values=(1, 2, 3)),
-            sim.BucketSample(t=Fraction(1, 8), slot_index=1, values=(0, 0, 9)),
-        )
-    )
+    trace = sim.BucketTrace(buckets=np.array([[1, 2, 3], [0, 0, 9]]), slot_dt=Fraction(1, 8))
     path = tmp_path / "b.csv"
     sim.write_bucket_csv(trace, path)
     assert path.read_text() == "t,slot,red,green,blue\n0.0,0,1,2,3\n0.125,1,0,0,9\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nk=st.sampled_from([(3, 1), (6, 2), (7, 1)]),
+    order_mode=st.sampled_from(disk.ORDER_MODES),
+    window_mode=st.sampled_from(sim.WINDOW_MODES),
+    period=st.fractions(Fraction(1, 1000), Fraction(7), max_denominator=1000),
+    # Window and duration in revolutions: windows range from shorter than
+    # one slot to longer than the whole duration.
+    window_revs=st.fractions(Fraction(1, 100), Fraction(5), max_denominator=100),
+    duration_revs=st.fractions(Fraction(1, 50), Fraction(4), max_denominator=50),
+    motion=st.sampled_from(["static", "linear", "held"]),
+    shift_per_rev=st.tuples(
+        st.fractions(-3, 3, max_denominator=7), st.fractions(-3, 3, max_denominator=7)
+    ),
+    hold_revs=st.fractions(Fraction(1, 50), Fraction(2), max_denominator=50),
+    sigma=st.sampled_from([0.0, 3.5]),
+    seed=st.integers(0, 2**16),
+    workers=st.integers(1, 3),
+)
+def test_windows_equal_direct_sums(
+    nk, order_mode, window_mode, period, window_revs, duration_revs, motion,
+    shift_per_rev, hold_revs, sigma, seed, workers,
+):
+    from ghostdisk import rng
+
+    spec, patterns, schedule = make_setup(*nk, order_mode=order_mode)
+    n = spec.n
+    obj = random_scene(n, seed)
+    window, duration = window_revs * period, duration_revs * period
+    if motion == "static":
+        traj = scene.Trajectory()
+    else:
+        velocity = (shift_per_rev[0] / period, shift_per_rev[1] / period)
+        hold = hold_revs * period if motion == "held" else None
+        traj = scene.Trajectory(mode="linear", velocity=velocity, hold_interval=hold)
+    timing = sim.TimingConfig(
+        revolution_period=period,
+        persistence_window=window,
+        window_mode=window_mode,
+        total_duration=duration,
+    )
+    result = sim.simulate(
+        obj, traj, schedule, patterns, timing, noise_sigma=sigma, seed=seed, workers=workers
+    )
+
+    # Buckets: every slot starting before the end, posed at its start time.
+    slot_dt = period / (n * n)
+    times = []
+    while len(times) * slot_dt < duration:
+        times.append(len(times) * slot_dt)
+    buckets = result.trace.buckets
+    assert result.trace.slot_dt == slot_dt
+    assert buckets.shape == (len(times), 3) and buckets.dtype == np.int64
+    masks = [
+        disk.place_pattern(spec, schedule.slots[s % (n * n)], patterns) for s in range(len(times))
+    ]
+    for s, t in enumerate(times):
+        pose = scene.translate_image(obj.pixels, *traj.offset_at(t))
+        clean = sim.bucket_value(masks[s], pose).tolist()
+        for ch in range(3):
+            noise = math.floor(sigma * rng.gaussian(seed, 3 * s + ch) + 0.5) if sigma else 0
+            assert buckets[s, ch] == max(0, clean[ch] + noise)
+
+    # Windows: tumbling windows tile the duration, sliding ones start at each
+    # slot; only windows that end inside the duration are emitted.
+    if window_mode == "tumbling":
+        starts = [w * window for w in range(int(duration / window))]
+    else:
+        starts = [t for t in times if t + window <= duration]
+    assert [(f.start, f.end) for f in result.frames] == [(t, t + window) for t in starts]
+    contributions = [sim.slot_contribution(masks[s], buckets[s]) for s in range(len(times))]
+    for frame in result.frames:
+        lo = bisect.bisect_left(times, frame.start)
+        hi = bisect.bisect_left(times, frame.end)
+        expected = sum(contributions[lo:hi], np.zeros((n, n, 3), dtype=np.int64))
+        assert frame.image.dtype == np.int64
+        assert np.array_equal(frame.image, expected)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bucket.csv"
+        sim.write_bucket_csv(result.trace, path)
+        rows = path.read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [repr(float(t)) for t in times]
