@@ -7,7 +7,8 @@ Subcommands:
 * ``layout``    -- write the disk drawing (SVG) and hole table (CSV).
 * ``simulate``  -- run the clocked measurement; writes frames, the bucket
                    trace, and a manifest that reproduces the run.
-* ``report``    -- recompute a finished run and write per-cell contrast.
+* ``report``    -- recompute one frame of a finished run, check it against
+                   the stored frame and write per-cell contrast.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 file system
 errors, 4 internal invariant violations.
@@ -16,8 +17,11 @@ errors, 4 internal invariant violations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -38,7 +42,14 @@ from .hadamard import (
 )
 from .metrics import frame_report, write_report_csv
 from .scene import sample_scene
-from .sim import simulate, write_bucket_csv, write_frame_ppm, write_frame_txt
+from .sim import (
+    read_frame_txt,
+    simulate,
+    window_grid,
+    write_bucket_csv,
+    write_frame_ppm,
+    write_frame_txt,
+)
 
 __all__ = ["main"]
 
@@ -62,7 +73,7 @@ def _add_override_args(parser: argparse.ArgumentParser) -> None:
         ("--total-duration", "total_duration", "simulated time in seconds"),
         ("--noise-sigma", "noise_sigma", "detector noise level, 0 disables"),
         ("--seed", "seed", "noise generator seed"),
-        ("--workers", "workers", "worker threads for bucket computation"),
+        ("--workers", "workers", "kept for old configs; >= 1, changes nothing"),
         ("--out", "out_dir", "output directory"),
     ]
     for flag, dest, help_text in overrides:
@@ -156,25 +167,33 @@ def _cmd_report(args: argparse.Namespace) -> int:
     manifest = run_dir / "manifest.txt"
     cfg = merge_config(load_config_file(manifest))
     spec, patterns, schedule, scene, trajectory, timing = resolve_components(cfg)
+    step, count = window_grid(timing, timing.slot_duration(spec.slots_per_revolution))
+    if not count:
+        raise ConfigError(
+            "run has no completed exposure window; nothing to report on"
+        )
+    if not 0 <= args.frame < count:
+        raise ConfigError(
+            f"frame {args.frame} out of range; run has {count} frames"
+        )
+    stored_path = run_dir / f"frame_{args.frame:04d}.txt"
+    stored = read_frame_txt(stored_path)
+    # Noise is indexed by slot and motion is sampled per slot, so a run cut
+    # at this frame's end reproduces it exactly, as its last frame.
+    end = args.frame * step + timing.persistence_window
     result = simulate(
         scene,
         trajectory,
         schedule,
         patterns,
-        timing,
+        dataclasses.replace(timing, total_duration=end),
         noise_sigma=cfg.noise_sigma,
         seed=cfg.seed,
         workers=cfg.workers,
     )
-    if not result.frames:
-        raise ConfigError(
-            "run has no completed exposure window; nothing to report on"
-        )
-    if not 0 <= args.frame < len(result.frames):
-        raise ConfigError(
-            f"frame {args.frame} out of range; run has {len(result.frames)} frames"
-        )
     frame = result.frames[args.frame]
+    if not np.array_equal(frame.image, stored):
+        raise RuntimeError(f"{stored_path} does not match the re-simulated frame {args.frame}")
     seen = sample_scene(scene, trajectory, frame.start)
     rows = frame_report(frame.image, seen.pixels, spec)
     out = Path(args.out) if args.out else run_dir / "report.csv"

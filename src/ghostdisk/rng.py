@@ -28,11 +28,19 @@ Derived draws, also fixed by this module:
 * gaussian  -- one Box-Muller pair per two words:
                ``sqrt(-2 ln u1) * cos(2 pi u2)`` with ``u1`` from the even
                word and ``u2`` from the odd word.
+
+``gaussians`` evaluates a whole counter range at once: the words and
+uniforms in numpy ``uint64`` (exact, as the uniform's numerator is at most
+2^53), ``log`` and ``cos`` through the same libm calls as ``gaussian``, and
+every float step in the same order, so each draw is bit-identical to the
+scalar one.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _PHI = 0x9E3779B97F4A7C15
@@ -63,6 +71,28 @@ def gaussian(seed: int, index: int) -> float:
     u1 = uniform(seed, 2 * index)
     u2 = uniform(seed, 2 * index + 1)
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def gaussians(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Draws ``lo .. hi-1`` as float64, equal bit for bit to ``gaussian``."""
+    if not 0 <= lo <= hi:
+        raise ValueError(f"gaussian range must satisfy 0 <= lo <= hi, got [{lo}, {hi})")
+    count = hi - lo
+    # Every operand is an explicit uint64: NumPy 1.x would turn uint64 mixed
+    # with a Python int into float64.  Products wrap modulo 2^64 on purpose.
+    with np.errstate(over="ignore"):
+        first = np.uint64((seed + (2 * lo + 1) * _PHI) & _MASK64)
+        z = first + np.arange(2 * count, dtype=np.uint64) * np.uint64(_PHI)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    u = ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    # np.log/np.cos may differ from libm in the last bit; map the math calls.
+    log_u1 = np.fromiter(map(math.log, u[0::2].tolist()), np.float64, count)
+    cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u[1::2]).tolist()), np.float64, count)
+    return np.sqrt(-2.0 * log_u1) * cos_u2
 
 
 class BitStream:

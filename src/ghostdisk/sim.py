@@ -21,15 +21,15 @@ depends on floating-point rounding.
 Detector noise, when enabled, perturbs each bucket value with a Gaussian
 read from the counter-based generator at index ``3 * slot + channel``, so
 any slot's noise can be reproduced without replaying the slots before it.
-Worker threads split the slot axis into contiguous chunks and write
-disjoint rows of the bucket table; window assembly is a separate serial
-pass.  Results are therefore bit-identical for every worker count.
+Buckets are computed in one thread, in fixed blocks of ``BLOCK_SLOTS``
+slots that bound the temporaries; window assembly is a separate pass.
+The ``workers`` argument is validated but changes neither output nor speed.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +51,7 @@ __all__ = [
     "bucket_value",
     "slot_contribution",
     "simulate",
+    "window_grid",
     "write_frame_ppm",
     "write_frame_txt",
     "read_frame_txt",
@@ -63,6 +64,10 @@ WINDOW_MODES = ("tumbling", "sliding")
 # sigma up to this bound keeps the rounded noise below 2**62 in magnitude,
 # and noise plus any bucket (at most 255 * n_cell) fits in int64.
 NOISE_SIGMA_MAX = 5e17
+
+# Slots per block of bucket products, noise and accumulator updates; bounds
+# the per-block temporaries.
+BLOCK_SLOTS = 4096
 
 
 @dataclass(frozen=True)
@@ -172,8 +177,8 @@ def simulate(
     """Run the clocked measurement and assemble exposure frames.
 
     Returns the emitted frames (ordered by window start) and the full
-    bucket trace over the simulated duration.  Identical inputs give
-    byte-identical results for any ``workers`` value.
+    bucket trace over the simulated duration.  ``workers`` must be at
+    least 1 and is otherwise unused: every value gives the same bytes.
     """
     spec = schedule.spec
     if patterns.pattern_length != spec.n_cell:
@@ -197,37 +202,46 @@ def simulate(
 
     base = scene.pixels.astype(np.int64)
     poses: dict[tuple[int, int], np.ndarray] = {(0, 0): base}
-    blocks = _offset_blocks(trajectory, slot_dt, slot_count)
-    for _, _, offset in blocks:
+    runs = _offset_blocks(trajectory, slot_dt, slot_count)
+    for _, _, offset in runs:
         if offset not in poses:
             poses[offset] = translate_image(base, offset[0], offset[1])
 
     buckets = np.zeros((slot_count, 3), dtype=np.int64)
+    run_starts = [r_lo for r_lo, _, _ in runs]
+    sigma = float(noise_sigma)
 
     def fill(lo: int, hi: int) -> None:
-        for b_lo, b_hi, offset in blocks:
-            lo2, hi2 = max(lo, b_lo), min(hi, b_hi)
-            if lo2 < hi2:
-                j = np.arange(lo2, hi2) % per_rev
-                seg = poses[offset][schedule.rows[j, None], cols[j], :]
-                buckets[lo2:hi2] = np.einsum("sj,sjc->sc", bits[j], seg)
-        if noise_sigma > 0:
-            for s in range(lo, hi):
-                for channel in range(3):
-                    z = rng.gaussian(seed, 3 * s + channel)
-                    noisy = int(buckets[s, channel]) + math.floor(noise_sigma * z + 0.5)
-                    buckets[s, channel] = max(0, noisy)
+        i = bisect.bisect_right(run_starts, lo) - 1
+        while i < len(runs) and runs[i][0] < hi:
+            r_lo, r_hi, offset = runs[i]
+            i += 1
+            lo2, hi2 = max(lo, r_lo), min(hi, r_hi)
+            j = np.arange(lo2, hi2) % per_rev
+            seg = poses[offset][schedule.rows[j, None], cols[j], :]
+            buckets[lo2:hi2] = np.einsum("sj,sjc->sc", bits[j], seg)
+        if sigma > 0:
+            z = rng.gaussians(seed, 3 * lo, 3 * hi).reshape(-1, 3)
+            noise = np.floor(sigma * z + 0.5).astype(np.int64)
+            buckets[lo:hi] = np.maximum(buckets[lo:hi] + noise, 0)
 
-    if workers == 1 or slot_count < 2 * workers:
-        fill(0, slot_count)
-    else:
-        chunk = math.ceil(slot_count / workers)
-        ranges = [(lo, min(lo + chunk, slot_count)) for lo in range(0, slot_count, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda r: fill(*r), ranges))
+    for lo in range(0, slot_count, BLOCK_SLOTS):
+        fill(lo, min(lo + BLOCK_SLOTS, slot_count))
 
     frames = _frames(schedule, bits, buckets, timing, slot_dt)
     return SimulationResult(frames=frames, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt))
+
+
+def window_grid(timing: TimingConfig, slot_dt: Fraction) -> tuple[Fraction, int]:
+    """``(step, count)``: window ``i < count`` starts at ``i * step`` seconds.
+
+    Tumbling windows step by the window length and must fit completely;
+    sliding windows start at every slot start while the window still fits.
+    """
+    window, duration = timing.persistence_window, timing.total_duration
+    if timing.window_mode == "tumbling":
+        return window, duration // window
+    return slot_dt, max(0, (duration - window) // slot_dt + 1)
 
 
 def _frames(
@@ -246,23 +260,21 @@ def _frames(
     over from zero when a window shares no slot with the one before.
     """
     spec = schedule.spec
-    window, duration = timing.persistence_window, timing.total_duration
-    if timing.window_mode == "tumbling":
-        starts = [w * window for w in range(duration // window)]
-    else:
-        # One window per slot start while the window still fits.
-        starts = [i * slot_dt for i in range((duration - window) // slot_dt + 1)]
+    window = timing.persistence_window
+    step, count = window_grid(timing, slot_dt)
 
     acc = np.zeros((spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
 
     def add(lo: int, hi: int, sign: int) -> None:
-        j = np.arange(lo, hi) % spec.slots_per_revolution
-        terms = bits[j][:, :, None] * (sign * buckets[lo:hi, None, :])
-        np.add.at(acc, (schedule.rows[j], schedule.cells[j]), terms)
+        for b_lo in range(lo, hi, BLOCK_SLOTS):
+            b_hi = min(b_lo + BLOCK_SLOTS, hi)
+            j = np.arange(b_lo, b_hi) % spec.slots_per_revolution
+            terms = bits[j][:, :, None] * (sign * buckets[b_lo:b_hi, None, :])
+            np.add.at(acc, (schedule.rows[j], schedule.cells[j]), terms)
 
     frames = []
     cur_lo = cur_hi = 0
-    for start in starts:
+    for start in (i * step for i in range(count)):
         lo, hi = math.ceil(start / slot_dt), math.ceil((start + window) / slot_dt)
         if lo >= cur_hi:
             acc[...] = 0

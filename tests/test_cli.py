@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from ghostdisk import config, metrics, scene, sim
 from ghostdisk.cli import main
 
 FAST = ["--n", "7", "--k", "1"]
@@ -162,6 +163,49 @@ def test_report_without_complete_window_exits_2(tmp_path, capsys):
     ]) == 0
     assert main(["report", "--run-dir", str(out)]) == 2
     assert "no completed exposure window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode,motion", [
+    ("tumbling", []),
+    ("sliding", ["--trajectory", "linear", "--velocity-x", "3", "--velocity-y", "-2"]),
+])
+def test_report_frames_match_full_simulation(tmp_path, mode, motion):
+    out = tmp_path / "run"
+    sim_args = ["simulate", *FAST, "--total-duration", "3/5", "--persistence-time", "1/10",
+                "--window-mode", mode, *motion, "--noise-sigma", "5", "--seed", "8",
+                "--out", str(out)]
+    assert main(sim_args) == 0
+    cfg = config.merge_config(config.load_config_file(out / "manifest.txt"))
+    spec, patterns, schedule, obj, traj, timing = config.resolve_components(cfg)
+    full = sim.simulate(
+        obj, traj, schedule, patterns, timing, noise_sigma=cfg.noise_sigma, seed=cfg.seed
+    )
+    last = len(full.frames) - 1
+    assert last == (5 if mode == "tumbling" else 122)
+    for f in sorted({0, 1, last // 2, last}):
+        frame = full.frames[f]
+        got = tmp_path / f"report_{f}.csv"
+        assert main(["report", "--run-dir", str(out), "--frame", str(f), "--out", str(got)]) == 0
+        seen = scene.sample_scene(obj, traj, frame.start)
+        want = tmp_path / f"oracle_{f}.csv"
+        metrics.write_report_csv(metrics.frame_report(frame.image, seen.pixels, spec), want)
+        assert got.read_bytes() == want.read_bytes(), f
+
+
+def test_report_checks_stored_frame(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", *FAST, "--noise-sigma", "2", "--out", str(out)]) == 0
+    stored = out / "frame_0000.txt"
+    lines = stored.read_text().splitlines()
+    values = lines[1].split()
+    values[3] = str(int(values[3]) + 1)
+    lines[1] = " ".join(values)
+    stored.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--run-dir", str(out)]) == 4
+    assert "does not match" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+    stored.unlink()
+    assert main(["report", "--run-dir", str(out)]) == 3
 
 
 def test_report_missing_run_dir_exits_2(tmp_path):

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ghostdisk import rng
+from ghostdisk.sim import NOISE_SIGMA_MAX
 
 # First outputs of the reference generator for seed 0, computed from the
 # published constants with an independent implementation.
@@ -81,3 +83,34 @@ def test_distinct_seeds_disagree():
     a = [rng.word(0, i) for i in range(8)]
     b = [rng.word(1, i) for i in range(8)]
     assert a != b
+
+
+# (seed, lo, hi): 1,050,000 draws in all, mostly away from index 0.
+GAUSSIAN_RANGES = (
+    (0, 0, 250_000),
+    (1, 144_150, 344_150),
+    (7, 12_345, 212_345),
+    (12_345_678_901_234_567, 2**40, 2**40 + 200_000),
+    (2**64 - 1, 3 * 4096 - 7, 3 * 4096 + 199_993),
+)
+
+
+@pytest.mark.parametrize("seed,lo,hi", GAUSSIAN_RANGES)
+def test_gaussians_match_scalar_bit_for_bit(seed, lo, hi):
+    got = rng.gaussians(seed, lo, hi)
+    want = [rng.gaussian(seed, i) for i in range(lo, hi)]
+    assert got.dtype == np.float64 and got.shape == (hi - lo,)
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+    # The rounded noise the simulator adds, against the scalar formula.
+    for sigma in (0.5, 1.0, 7.3, 1e17, NOISE_SIGMA_MAX):
+        rounded = np.floor(sigma * got + 0.5).astype(np.int64)
+        assert rounded.tolist() == [math.floor(sigma * z + 0.5) for z in want], sigma
+
+
+def test_gaussians_empty_and_invalid_ranges():
+    assert rng.gaussians(5, 9, 9).shape == (0,)
+    assert rng.gaussians(5, 0, 0).shape == (0,)
+    with pytest.raises(ValueError):
+        rng.gaussians(5, -1, 3)
+    with pytest.raises(ValueError):
+        rng.gaussians(5, 4, 3)

@@ -303,20 +303,32 @@ def test_noise_matches_counter_indexing():
 
     spec, patterns, schedule = make_setup()
     obj = random_scene(6, 13)
-    clean = sim.simulate(obj, scene.Trajectory(), schedule, patterns, one_rev_timing())
     sigma, seed = 3.0, 21
-    noisy = sim.simulate(
-        obj, scene.Trajectory(), schedule, patterns, one_rev_timing(),
-        noise_sigma=sigma, seed=seed,
-    )
-    assert noisy.trace.buckets.shape == clean.trace.buckets.shape
-    for s, (clean_row, noisy_row) in enumerate(
-        zip(clean.trace.buckets.tolist(), noisy.trace.buckets.tolist())
+    # One revolution, and a run over three bucket blocks plus a remainder.
+    long_run = Fraction(3 * sim.BLOCK_SLOTS + 100, 36 * 5)
+    for timing in (
+        one_rev_timing(),
+        sim.TimingConfig(
+            revolution_period=Fraction(1, 5),
+            persistence_window=long_run,
+            window_mode="tumbling",
+            total_duration=long_run,
+        ),
     ):
-        for ch in range(3):
-            z = rng.gaussian(seed, 3 * s + ch)
-            expected = max(0, clean_row[ch] + math.floor(sigma * z + 0.5))
-            assert noisy_row[ch] == expected
+        clean = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
+        noisy = sim.simulate(
+            obj, scene.Trajectory(), schedule, patterns, timing,
+            noise_sigma=sigma, seed=seed,
+        )
+        assert noisy.trace.buckets.shape == clean.trace.buckets.shape
+        for s, (clean_row, noisy_row) in enumerate(
+            zip(clean.trace.buckets.tolist(), noisy.trace.buckets.tolist())
+        ):
+            for ch in range(3):
+                z = rng.gaussian(seed, 3 * s + ch)
+                expected = max(0, clean_row[ch] + math.floor(sigma * z + 0.5))
+                assert noisy_row[ch] == expected
+    assert len(noisy.trace.buckets) == 3 * sim.BLOCK_SLOTS + 100
 
 
 @pytest.mark.parametrize("workers", [2, 3, 8])
