@@ -11,13 +11,16 @@ Subcommands:
                    the stored frame and write per-cell contrast.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 file system
-errors, 4 internal invariant violations.
+errors, 4 internal invariant violations, including any ``ArithmeticError``
+(overflow, division by zero) or ``MemoryError``; each error prints one
+line on stderr and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +55,11 @@ from .sim import (
 )
 
 __all__ = ["main"]
+
+# Frame values exported per block of frames (4 frames at n = 35, one frame
+# at n = 155): bounds the formatter's temporaries, which stay small enough
+# to be reused from block to block rather than mapped afresh.
+EXPORT_BLOCK_VALUES = 1 << 14
 
 
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
@@ -152,9 +160,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.txt").write_bytes(config_text(cfg).encode("ascii"))
     write_bucket_csv(result.trace, out / "bucket.csv")
-    for index, frame in enumerate(result.frames):
-        write_frame_ppm(frame, out / f"frame_{index:04d}.ppm")
-        write_frame_txt(frame, out / f"frame_{index:04d}.txt")
+    images = result.images
+    per_block = max(1, EXPORT_BLOCK_VALUES // math.prod(images.shape[1:]))
+    stem = str(out / "frame_")
+    for lo in range(0, len(images), per_block):
+        block = images[lo : lo + per_block]
+        indices = range(lo, lo + len(block))
+        write_frame_ppm(block, [f"{stem}{i:04d}.ppm" for i in indices])
+        write_frame_txt(block, [f"{stem}{i:04d}.txt" for i in indices])
     print(
         f"simulated {len(result.trace.buckets)} slots, "
         f"wrote {len(result.frames)} frames to {out}"
@@ -264,6 +277,10 @@ def main(argv=None) -> int:
         return 3
     except (AssertionError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except (ArithmeticError, MemoryError) as exc:
+        # Their messages may be empty ("MemoryError()"), so name the type.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

@@ -29,6 +29,7 @@ The ``workers`` argument is validated but changes neither output nor speed.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from pathlib import Path
 from dataclasses import dataclass
@@ -117,7 +118,13 @@ class BucketTrace:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """Frames, their images as one ``(F, n, n, 3)`` int64 array, and the trace.
+
+    Each ``frames[i].image`` is a view of ``images[i]``.
+    """
+
     frames: tuple[ExposureFrame, ...]
+    images: np.ndarray
     trace: BucketTrace
 
 
@@ -137,31 +144,43 @@ def _offset_blocks(
 ) -> list[tuple[int, int, tuple[int, int]]]:
     """Partition slots into runs of constant object pose.
 
-    Returns (start_slot, end_slot, offset) triples.  Static trajectories
-    give one run; a hold interval gives one run per hold block that holds
-    a slot start; free linear motion falls back to per-slot evaluation.
+    Returns (start_slot, end_slot, offset) triples, with one ``offset_at``
+    call per run.  Static trajectories give one run; a hold interval gives
+    one run per hold block that holds a slot start; free linear motion
+    gives one run per pose, cut where either axis' offset changes.
     """
     if trajectory.mode == "static":
         return [(0, slot_count, (0, 0))]
     if trajectory.hold_interval is not None:
         hold = trajectory.hold_interval
-        blocks = []
-        lo = 0
-        while lo < slot_count:
-            # Jump to the block of slot lo, skipping blocks no slot starts in.
-            block = (lo * slot_dt) // hold
-            hi = min(math.ceil((block + 1) * hold / slot_dt), slot_count)
-            blocks.append((lo, hi, trajectory.offset_at(lo * slot_dt)))
-            lo = hi
-        return blocks
-    blocks = []
-    for s in range(slot_count):
-        offset = trajectory.offset_at(s * slot_dt)
-        if blocks and blocks[-1][2] == offset:
-            blocks[-1] = (blocks[-1][0], s + 1, offset)
-        else:
-            blocks.append((s, s + 1, offset))
-    return blocks
+        cuts = [0]
+        while cuts[-1] < slot_count:
+            # Jump to the block of the last cut, skipping blocks no slot starts in.
+            block = (cuts[-1] * slot_dt) // hold
+            cuts.append(min(math.ceil((block + 1) * hold / slot_dt), slot_count))
+    else:
+        changes = set()
+        for v in trajectory.velocity:
+            changes.update(_offset_changes(v * slot_dt, slot_count))
+        cuts = [0, *sorted(changes), slot_count]
+    return [
+        (lo, hi, trajectory.offset_at(lo * slot_dt)) for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+
+
+def _offset_changes(step: Fraction, slot_count: int) -> range | list[int]:
+    """Slots ``0 < s < slot_count`` where ``round_half_away(step * s)`` changes.
+
+    With ``step = ±a/b``, ``|round(step * s)| >= m`` exactly when
+    ``2as + b >= 2bm``, so the value first reaches ``m`` at slot
+    ``ceil((2m - 1) b / 2a)``.  A step of at least one pixel changes the
+    offset at every slot, which also bounds the work by the slot count.
+    """
+    a, b = abs(step.numerator), step.denominator
+    if a >= b:
+        return range(1, slot_count)
+    last = (2 * a * (slot_count - 1) + b) // (2 * b)
+    return [-((1 - 2 * m) * b // (2 * a)) for m in range(1, last + 1)]
 
 
 def simulate(
@@ -228,8 +247,10 @@ def simulate(
     for lo in range(0, slot_count, BLOCK_SLOTS):
         fill(lo, min(lo + BLOCK_SLOTS, slot_count))
 
-    frames = _frames(schedule, bits, buckets, timing, slot_dt)
-    return SimulationResult(frames=frames, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt))
+    images, frames = _frames(schedule, bits, buckets, timing, slot_dt)
+    return SimulationResult(
+        frames=frames, images=images, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt)
+    )
 
 
 def window_grid(timing: TimingConfig, slot_dt: Fraction) -> tuple[Fraction, int]:
@@ -250,7 +271,7 @@ def _frames(
     buckets: np.ndarray,
     timing: TimingConfig,
     slot_dt: Fraction,
-) -> tuple[ExposureFrame, ...]:
+) -> tuple[np.ndarray, tuple[ExposureFrame, ...]]:
     """Exposure frames of either window mode, from one running accumulator.
 
     Each window becomes the slot range [lo, hi) of the slots starting
@@ -258,12 +279,14 @@ def _frames(
     and both bounds only grow from one window to the next: the accumulator
     adds the slots that enter and subtracts those that leave, and starts
     over from zero when a window shares no slot with the one before.
+    Returns the ``(count, n, n, 3)`` image array and the frames viewing it.
     """
     spec = schedule.spec
     window = timing.persistence_window
     step, count = window_grid(timing, slot_dt)
 
     acc = np.zeros((spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
+    images = np.empty((count, spec.n, spec.n, 3), dtype=np.int64)
 
     def add(lo: int, hi: int, sign: int) -> None:
         for b_lo in range(lo, hi, BLOCK_SLOTS):
@@ -274,7 +297,8 @@ def _frames(
 
     frames = []
     cur_lo = cur_hi = 0
-    for start in (i * step for i in range(count)):
+    for i in range(count):
+        start = i * step
         lo, hi = math.ceil(start / slot_dt), math.ceil((start + window) / slot_dt)
         if lo >= cur_hi:
             acc[...] = 0
@@ -282,9 +306,9 @@ def _frames(
         add(cur_lo, lo, -1)
         add(cur_hi, hi, 1)
         cur_lo, cur_hi = lo, hi
-        image = acc.reshape(spec.n, spec.n, 3).copy()
-        frames.append(ExposureFrame(start=start, end=start + window, image=image))
-    return tuple(frames)
+        images[i] = acc.reshape(spec.n, spec.n, 3)
+        frames.append(ExposureFrame(start=start, end=start + window, image=images[i]))
+    return images, tuple(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -292,28 +316,127 @@ def _frames(
 # ---------------------------------------------------------------------------
 
 
-def write_frame_ppm(frame: ExposureFrame, path) -> None:
-    """Scale the integer frame onto 0..255 and write a binary PPM.
+def _scale_ppm(images: np.ndarray) -> np.ndarray:
+    """Each frame of a ``(B, h, w, 3)`` block scaled onto 0..255 as uint8.
 
-    The frame maximum maps to 255; an all-zero frame stays zero.  Scaling
-    rounds half up in exact integer arithmetic.
+    Value ``v`` of a frame with peak ``p > 0`` maps to
+    ``floor((510 v + p) / (2 p))`` (the peak to 255, halves rounding up),
+    which is ``(c + 1) // 2`` with ``c = floor(510 v / p)``.  The product
+    ``510 v`` is never formed: with ``p = 510 d + b`` and ``v = q d + l``,
+    ``510 v = q p + (510 l - q b)``, where ``510 l < max(p, 510)`` and
+    ``|q b| < 520200`` for ``0 <= v <= p``, so every step is exact in int64
+    for any frame of nonnegative counts.  A frame with peak ``<= 0`` stays zero.
     """
-    image = frame.image.astype(np.int64)
-    peak = int(image.max()) if image.size else 0
-    if peak <= 0:
-        scaled = np.zeros(image.shape, dtype=np.uint8)
-    else:
-        scaled = ((image * 510 + peak) // (2 * peak)).astype(np.uint8)
-    pnm.write_ppm(path, scaled)
+    v = np.asarray(images, dtype=np.int64)
+    peak = v.max(axis=(1, 2, 3), keepdims=True)
+    p = np.maximum(peak, 1)
+    d = np.maximum(p // 510, 1)
+    b = p - 510 * d
+    # In place, to keep a whole n = 155 frame's temporaries small.
+    q, t = np.divmod(v, d)
+    t *= 510
+    t -= q * b
+    t //= p
+    q += t  # c = floor(510 v / p)
+    q += 1
+    q >>= 1
+    q *= peak > 0
+    return q.astype(np.uint8)
 
 
-def write_frame_txt(frame: ExposureFrame, path) -> None:
-    """Write the raw integer counts, one channel block per color."""
-    lines = []
-    for channel, name in enumerate(("red", "green", "blue")):
-        lines.append(f"# channel {name}")
-        lines += (" ".join(map(str, row)) for row in frame.image[:, :, channel].tolist())
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+def write_frame_ppm(images: np.ndarray, paths) -> None:
+    """Write each frame of a ``(B, h, w, 3)`` block as a binary PPM.
+
+    Each frame is scaled on its own: its maximum maps to 255 and an
+    all-zero frame stays zero, rounding half up in exact integer arithmetic.
+    """
+    for scaled, path in zip(_scale_ppm(images), paths, strict=True):
+        pnm.write_ppm(path, scaled)
+
+
+_CHANNEL_HEADERS = tuple(f"# channel {name}\n".encode("ascii") for name in ("red", "green", "blue"))
+_GROUP = np.uint64(10_000)
+# Offsets of the three spellings in _group_spellings().
+_LEADING, _INNER, _UNITS = 0, 10_000, 20_000
+
+
+@functools.cache
+def _group_spellings() -> np.ndarray:
+    """``(3 * 10**4,)`` uint32: the four ASCII bytes of each base-10**4 group.
+
+    Entry ``offset + g`` spells ``g`` as a leading group (``_LEADING``: its
+    leading zeros become zero bytes, so 0 is four zero bytes), as an inner
+    group (``_INNER``: zero-padded to four digits) or as a value's only
+    group (``_UNITS``: like leading, but 0 spells "0").
+    """
+    g = np.arange(10_000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    inner = (digits + ord("0")).astype(np.uint8)
+    leading = np.where(np.cumsum(digits, axis=1) == 0, 0, inner).astype(np.uint8)
+    units = leading.copy()
+    units[0, 3] = ord("0")
+    table = np.concatenate([leading, inner, units]).view(np.uint32).reshape(-1)
+    table.setflags(write=False)  # cached: every caller shares it
+    return table
+
+
+def _value_cells(images: np.ndarray) -> np.ndarray:
+    """The values of a ``(B, h, w, 3)`` int block as fixed-width ASCII cells.
+
+    Values come in file order (frame, channel, row, column).  Each cell is
+    a sign byte, one four-byte spelling per base-10**4 digit group (as many
+    groups as the block's largest magnitude needs) and a separator: a space,
+    or a newline at a row's end.  Padding bytes are zero.
+    """
+    width = images.shape[2]
+    values = images.transpose(0, 3, 1, 2).astype(np.int64, order="C").reshape(-1)
+    negative = values < 0
+    quot = np.abs(values, out=values).view(np.uint64)  # exact for -2**63 too
+    groups, top = 1, int(quot.max())
+    while top >= 10_000**groups:
+        groups += 1
+    idx = np.empty((quot.size, groups), dtype=np.intp)
+    for col in range(groups - 1, -1, -1):
+        nxt = quot // _GROUP
+        quot -= nxt * _GROUP
+        idx[:, col] = quot
+        idx[:, col] += np.where(nxt > 0, _INNER, _UNITS if col == groups - 1 else _LEADING)
+        quot = nxt
+    cells = np.empty((quot.size, 4 * groups + 2), dtype=np.uint8)
+    cells[:, 0] = np.where(negative, ord("-"), 0)
+    cells[:, 1:-1] = _group_spellings()[idx].view(np.uint8)
+    cells[:, -1] = ord(" ")
+    cells.reshape(-1, width, cells.shape[1])[:, -1, -1] = ord("\n")
+    return cells
+
+
+def _frame_texts(images: np.ndarray) -> list[bytes]:
+    """``frame_NNNN.txt`` bytes of each frame of a ``(B, h, w, 3)`` int block.
+
+    Dropping the zero padding of the value cells leaves exactly the
+    ``" ".join(map(str, row))`` lines; every ``h``-th newline ends a channel.
+    """
+    count, height = images.shape[:2]
+    cells = _value_cells(images)
+    text = cells[cells != 0]
+    ends = (np.flatnonzero(text == ord("\n"))[height - 1 :: height] + 1).tolist()
+    data = text.tobytes()
+    starts = [0, *ends[:-1]]
+    return [
+        b"".join(_CHANNEL_HEADERS[c] + data[starts[3 * f + c] : ends[3 * f + c]] for c in range(3))
+        for f in range(count)
+    ]
+
+
+def write_frame_txt(images: np.ndarray, paths) -> None:
+    """Write the raw integer counts of each frame of a ``(B, h, w, 3)`` block.
+
+    One ``# channel <name>`` block per color, one line per row, values
+    separated by single spaces.
+    """
+    for data, path in zip(_frame_texts(images), paths, strict=True):
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def read_frame_txt(path) -> np.ndarray:

@@ -132,6 +132,22 @@ def test_simulate_unwritable_out_exits_3(tmp_path):
     assert main(["simulate", *FAST, "--out", str(blocker / "run")]) == 3
 
 
+@pytest.mark.parametrize(
+    "error", [OverflowError("int too large"), ZeroDivisionError("division by zero"), MemoryError()]
+)
+def test_simulate_arithmetic_and_memory_errors_exit_4(tmp_path, capsys, monkeypatch, error):
+    from ghostdisk import cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "simulate", fail)
+    assert main(["simulate", *FAST, "--out", str(tmp_path / "x")]) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"internal error: {type(error).__name__}: {error}"]
+    assert "Traceback" not in err
+
+
 def test_report_on_finished_run(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", *FAST, "--letter", "U", "--color", "white", "--out", str(out)]) == 0

@@ -387,7 +387,7 @@ def test_frame_ppm_scaling(tmp_path):
     image[1, 1] = (1, 1, 1)
     frame = sim.ExposureFrame(start=Fraction(0), end=Fraction(1), image=image)
     path = tmp_path / "f.ppm"
-    sim.write_frame_ppm(frame, path)
+    sim.write_frame_ppm(frame.image[None], [path])
     out = pnm.read_ppm(path)
     # Peak 6 maps to 255; 3 -> 128 (127.5 rounds up); 1 -> 43 (42.5 rounds up).
     assert out[0, 0].tolist() == [255, 128, 0]
@@ -401,7 +401,7 @@ def test_zero_frame_ppm_stays_zero(tmp_path):
         start=Fraction(0), end=Fraction(1), image=np.zeros((3, 3, 3), dtype=np.int64)
     )
     path = tmp_path / "z.ppm"
-    sim.write_frame_ppm(frame, path)
+    sim.write_frame_ppm(frame.image[None], [path])
     assert not pnm.read_ppm(path).any()
 
 
@@ -410,11 +410,183 @@ def test_frame_txt_round_trip(tmp_path):
     image = gen.integers(0, 10_000, size=(5, 5, 3)).astype(np.int64)
     frame = sim.ExposureFrame(start=Fraction(0), end=Fraction(1), image=image)
     path = tmp_path / "f.txt"
-    sim.write_frame_txt(frame, path)
+    sim.write_frame_txt(frame.image[None], [path])
     assert np.array_equal(sim.read_frame_txt(path), image)
     text = path.read_text()
     assert text.startswith("# channel red\n")
     assert "# channel blue" in text
+
+
+def ppm_oracle(image: np.ndarray) -> list[int]:
+    """The PPM scaling on Python ints: floor((510 v + p) / (2 p)), 0 for p <= 0."""
+    values = image.ravel().tolist()
+    peak = max(values)
+    return [0 if peak <= 0 else (510 * v + peak) // (2 * peak) for v in values]
+
+
+def test_frame_ppm_exact_past_int64_product(tmp_path):
+    from ghostdisk import pnm
+
+    # A peak near 5.2e17: 510 * v wraps int64, which made 121 of these 147
+    # values wrong when the scaling formed that product.
+    spec, patterns, schedule = make_setup(n=7, k=1)
+    obj = scene.builtin_letter("T", 7, "white")
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(1), total_duration=Fraction(1)
+    )
+    result = sim.simulate(
+        obj, scene.Trajectory(), schedule, patterns, timing, noise_sigma=1e17, seed=0
+    )
+    (image,) = result.images
+    assert image.max() > 2**63 // 510
+    path = tmp_path / "f.ppm"
+    sim.write_frame_ppm(result.images, [path])
+    assert pnm.read_ppm(path).ravel().tolist() == ppm_oracle(image)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    count=st.integers(1, 3),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    peak=st.one_of(
+        st.integers(0, 600),
+        st.integers(2**53, 2**63 - 1),
+        st.sampled_from([509, 510, 511, 2**63 // 510, 2**63 // 510 + 1, 2**63 - 1]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_ppm_scaling_matches_python_ints(tmp_path_factory, count, shape, peak, seed):
+    from ghostdisk import pnm
+
+    gen = np.random.default_rng(seed)
+    images = gen.integers(0, peak, size=(count, *shape, 3), dtype=np.int64, endpoint=True)
+    images[:, 0, 0, 0] = peak
+    images[0, -1, -1, -1] = 0
+    tmp = tmp_path_factory.mktemp("ppm")
+    paths = [tmp / f"{i}.ppm" for i in range(count)]
+    sim.write_frame_ppm(images, paths)
+    for image, path in zip(images, paths):
+        assert pnm.read_ppm(path).ravel().tolist() == ppm_oracle(image)
+
+
+def frame_txt_oracle(image: np.ndarray) -> bytes:
+    """The frame text format, one Python str per value."""
+    lines = []
+    for channel, name in enumerate(("red", "green", "blue")):
+        lines.append(f"# channel {name}")
+        lines += (" ".join(map(str, row)) for row in image[:, :, channel].tolist())
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# Values at and next to every power of ten (so every digit-group boundary),
+# both signs, and the int64 extremes.
+_BOUNDARY_VALUES = np.array(
+    sorted(
+        {sign * (10**e + delta) for e in range(19) for delta in (-2, -1, 0, 1, 2) for sign in (1, -1)}
+        | {-(2**63), -(2**63) + 1, 2**63 - 1, 2**63 - 2}
+    ),
+    dtype=np.int64,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    count=st.sampled_from([1, 2, 7]),
+    n=st.integers(1, 9),
+    # Frames are square; a wider block checks that rows and columns stay apart.
+    extra_columns=st.sampled_from([0, 0, 0, 2]),
+    kind=st.sampled_from(["zero", "small", "boundary", "any"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frame_txt_block_matches_str_oracle(
+    tmp_path_factory, count, n, extra_columns, kind, seed
+):
+    gen = np.random.default_rng(seed)
+    shape = (count, n, n + extra_columns, 3)
+    if kind == "zero":
+        images = np.zeros(shape, dtype=np.int64)
+    elif kind == "small":
+        images = gen.integers(0, 10_000, size=shape)
+    elif kind == "boundary":
+        images = gen.choice(_BOUNDARY_VALUES, size=shape)
+    else:
+        images = gen.integers(-(2**63), 2**63 - 1, size=shape, dtype=np.int64, endpoint=True)
+    tmp = tmp_path_factory.mktemp("txt")
+    paths = [tmp / f"frame_{i:04d}.txt" for i in range(count)]
+    sim.write_frame_txt(images, paths)
+    for image, path in zip(images, paths):
+        assert path.read_bytes() == frame_txt_oracle(image)
+        assert np.array_equal(sim.read_frame_txt(path), image)
+
+
+def test_frame_images_are_views_of_one_array():
+    spec, patterns, schedule = make_setup()
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1, 5),
+        persistence_window=Fraction(1, 5),
+        window_mode="sliding",
+        total_duration=Fraction(2, 5),
+    )
+    result = sim.simulate(random_scene(6, 3), scene.Trajectory(), schedule, patterns, timing)
+    assert result.images.shape == (len(result.frames), 6, 6, 3)
+    for frame, image in zip(result.frames, result.images):
+        assert np.shares_memory(frame.image, result.images)
+        assert np.array_equal(frame.image, image)
+
+
+def offset_runs_oracle(traj, slot_dt, slot_count):
+    """Pose runs from one ``offset_at`` per slot: per hold block, else per pose."""
+    runs = []
+    for s in range(slot_count):
+        offset = traj.offset_at(s * slot_dt)
+        key = (s * slot_dt) // traj.hold_interval if traj.hold_interval else offset
+        if runs and runs[-1][3] == key:
+            runs[-1][1] = s + 1
+        else:
+            runs.append([s, s + 1, offset, key])
+    return [(lo, hi, offset) for lo, hi, offset, _ in runs]
+
+
+def _velocities() -> st.SearchStrategy[Fraction]:
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(-40, 40, max_denominator=50),
+        # Large numerators and denominators, slow and fast.
+        st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**28)),
+        st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(10**20, 10**24)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    velocity=st.tuples(_velocities(), _velocities()),
+    slot_dt=st.one_of(
+        st.fractions(Fraction(1, 10**6), 3, max_denominator=10**6),
+        st.builds(Fraction, st.integers(1, 10**20), st.integers(1, 10**25)),
+    ),
+    slot_count=st.integers(1, 300),
+    hold=st.one_of(st.none(), st.fractions(Fraction(1, 1000), 5, max_denominator=1000)),
+)
+def test_offset_runs_match_per_slot_offsets(velocity, slot_dt, slot_count, hold):
+    traj = scene.Trajectory(mode="linear", velocity=velocity, hold_interval=hold)
+    assert sim._offset_blocks(traj, slot_dt, slot_count) == offset_runs_oracle(
+        traj, slot_dt, slot_count
+    )
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_offset_runs_at_exact_ties(axis, sign):
+    # v * s * slot_dt = s / 6: slots 3, 9, 15, ... land exactly on .5 and
+    # round away from zero, so the pose changes at those slots.
+    slot_dt = Fraction(1, 12)
+    velocity = [Fraction(0), Fraction(0)]
+    velocity[axis] = Fraction(2 * sign)
+    traj = scene.Trajectory(mode="linear", velocity=tuple(velocity))
+    runs = sim._offset_blocks(traj, slot_dt, 20)
+    assert [lo for lo, _, _ in runs] == [0, 3, 9, 15]
+    assert [offset[axis] for _, _, offset in runs] == [0, sign, 2 * sign, 3 * sign]
+    assert runs == offset_runs_oracle(traj, slot_dt, 20)
 
 
 def test_bucket_csv_format(tmp_path):
