@@ -176,11 +176,7 @@ def merge_config(*layers: dict[str, str]) -> RunConfig:
 
 
 def _value_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def config_text(cfg: RunConfig) -> str:

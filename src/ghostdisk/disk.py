@@ -24,7 +24,6 @@ exported drawing and never affect simulation results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -37,16 +36,14 @@ __all__ = [
     "PartitionSpec",
     "SlotDescriptor",
     "ScanSchedule",
-    "HoleGroup",
     "DiskLayout",
     "make_spec",
     "build_schedule",
+    "check_pattern_length",
     "place_pattern",
     "disk_layout",
     "schedule_to_csv",
-    "schedule_from_csv",
     "layout_to_csv",
-    "layout_from_csv",
     "export_layout_svg",
 ]
 
@@ -136,15 +133,20 @@ def build_schedule(spec: PartitionSpec, order_mode: str = "pattern_major") -> Sc
     return ScanSchedule(spec, order_mode, rows=row, cells=cell, pattern_index=pattern)
 
 
-def place_pattern(
-    spec: PartitionSpec, slot: SlotDescriptor, patterns: ReducedPatternSet
-) -> np.ndarray:
-    """Full-frame n x n binary mask with the slot's pattern in its cell."""
+def check_pattern_length(spec: PartitionSpec, patterns: ReducedPatternSet) -> None:
+    """Raise ``ValueError`` unless the patterns are exactly one cell wide."""
     if patterns.pattern_length != spec.n_cell:
         raise ValueError(
             f"pattern length {patterns.pattern_length} does not match "
             f"cell width {spec.n_cell}"
         )
+
+
+def place_pattern(
+    spec: PartitionSpec, slot: SlotDescriptor, patterns: ReducedPatternSet
+) -> np.ndarray:
+    """Full-frame n x n binary mask with the slot's pattern in its cell."""
+    check_pattern_length(spec, patterns)
     if not (0 <= slot.row < spec.n and 0 <= slot.cell < spec.k):
         raise ValueError(f"slot {slot} is out of range for spec {spec}")
     if not 0 <= slot.pattern_index < spec.n_cell:
@@ -155,33 +157,28 @@ def place_pattern(
     return mask
 
 
-@dataclass(frozen=True)
-class HoleGroup:
-    """One slot's hole group on the disk: position plus its pattern bits."""
-
-    slot_index: int
-    row: int
-    cell: int
-    pattern_index: int
-    track: int
-    angle_deg: Fraction
-    bits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskLayout:
     """Physical arrangement of one revolution's hole groups.
 
-    One track per row part; hole groups sit at uniform angular spacing
-    (360 degrees / slot count) in schedule order.  Radius and pitch are in
-    millimeters and only affect the exported drawing.
+    Slot ``s`` of the schedule is one hole group on track ``rows[s]`` at
+    ``360 * s / n^2`` degrees, with the bits of pattern ``pattern_index[s]``.
+    Radius and pitch are in millimeters and only affect the exported drawing.
     """
 
-    spec: PartitionSpec
-    order_mode: str
+    schedule: ScanSchedule
+    patterns: ReducedPatternSet
     radius_mm: float
     track_pitch_mm: float
-    holes: tuple[HoleGroup, ...]
+
+    def __post_init__(self):
+        if self.radius_mm <= 0 or self.track_pitch_mm <= 0:
+            raise ValueError(
+                f"geometry must be positive: radius={self.radius_mm}, pitch={self.track_pitch_mm}"
+            )
+        check_pattern_length(self.schedule.spec, self.patterns)
+        object.__setattr__(self, "radius_mm", float(self.radius_mm))
+        object.__setattr__(self, "track_pitch_mm", float(self.track_pitch_mm))
 
 
 def disk_layout(
@@ -191,41 +188,11 @@ def disk_layout(
     track_pitch_mm: float = 1.5,
 ) -> DiskLayout:
     """Map a one-revolution schedule onto disk tracks and angles."""
-    if radius_mm <= 0 or track_pitch_mm <= 0:
-        raise ValueError(
-            f"geometry must be positive: radius={radius_mm}, pitch={track_pitch_mm}"
-        )
-    spec = schedule.spec
-    if patterns.pattern_length != spec.n_cell:
-        raise ValueError(
-            f"pattern length {patterns.pattern_length} does not match "
-            f"cell width {spec.n_cell}"
-        )
-    count = len(schedule.rows)
-    bits = [tuple(row) for row in patterns.patterns.tolist()]
-    holes = tuple(
-        HoleGroup(
-            slot_index=s,
-            row=row,
-            cell=cell,
-            pattern_index=p,
-            track=row,
-            angle_deg=Fraction(360 * s, count),
-            bits=bits[p],
-        )
-        for s, (row, cell, p) in enumerate(_triples(schedule))
-    )
-    return DiskLayout(
-        spec=spec,
-        order_mode=schedule.order_mode,
-        radius_mm=float(radius_mm),
-        track_pitch_mm=float(track_pitch_mm),
-        holes=holes,
-    )
+    return DiskLayout(schedule, patterns, radius_mm, track_pitch_mm)
 
 
 # ---------------------------------------------------------------------------
-# Exports: schedule CSV, layout CSV (round-trippable), layout SVG.
+# Exports: schedule CSV, layout CSV, layout SVG.
 # ---------------------------------------------------------------------------
 
 
@@ -236,61 +203,24 @@ def schedule_to_csv(schedule: ScanSchedule, path) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def schedule_from_csv(path, spec: PartitionSpec, order_mode: str = "pattern_major") -> ScanSchedule:
-    """Rebuild a schedule from its CSV export; slots must be numbered 0, 1, ..."""
-    text = Path(path).read_bytes().decode("ascii")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "slot,row,cell,pattern":
-        raise ValueError(f"{path}: missing 'slot,row,cell,pattern' header")
-    triples = []
-    for expected, ln in enumerate(lines[1:]):
-        index, row, cell, pattern = (int(tok) for tok in ln.split(","))
-        if index != expected:
-            raise ValueError(f"{path}: slot {index} where slot {expected} belongs")
-        triples.append((row, cell, pattern))
-    rows, cells, pattern_index = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    return ScanSchedule(spec, order_mode, rows, cells, pattern_index)
-
-
 def layout_to_csv(layout: DiskLayout, path) -> None:
-    """Write hole groups as CSV; angles as exact fractions of a degree."""
+    """Write hole groups as CSV; angles as exact fractions of a degree.
+
+    Slot ``s`` of ``count`` sits at ``360 s / count`` degrees, written in
+    lowest terms (``0/1`` for slot 0).
+    """
+    schedule = layout.schedule
+    count = len(schedule.rows)
+    num = 360 * np.arange(count)
+    gcd = np.gcd(num, count)
+    bits = ["".join(map(str, row)) for row in layout.patterns.patterns.tolist()]
+    columns = (schedule.rows, schedule.cells, schedule.pattern_index, num // gcd, count // gcd)
     lines = ["slot,row,cell,pattern,track,angle_num,angle_den,bits"]
-    for hole in layout.holes:
-        bits = "".join(str(b) for b in hole.bits)
-        lines.append(
-            f"{hole.slot_index},{hole.row},{hole.cell},{hole.pattern_index},"
-            f"{hole.track},{hole.angle_deg.numerator},{hole.angle_deg.denominator},{bits}"
-        )
+    lines += [
+        f"{s},{row},{cell},{p},{row},{a},{b},{bits[p]}"
+        for s, (row, cell, p, a, b) in enumerate(zip(*(c.tolist() for c in columns)))
+    ]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
-
-
-def layout_from_csv(path, layout: DiskLayout) -> DiskLayout:
-    """Rebuild a layout's hole groups from CSV, keeping the given geometry."""
-    text = Path(path).read_bytes().decode("ascii")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "slot,row,cell,pattern,track,angle_num,angle_den,bits":
-        raise ValueError(f"{path}: missing layout header")
-    holes = []
-    for ln in lines[1:]:
-        slot, row, cell, pattern, track, num, den, bits = ln.split(",")
-        holes.append(
-            HoleGroup(
-                slot_index=int(slot),
-                row=int(row),
-                cell=int(cell),
-                pattern_index=int(pattern),
-                track=int(track),
-                angle_deg=Fraction(int(num), int(den)),
-                bits=tuple(int(b) for b in bits),
-            )
-        )
-    return DiskLayout(
-        spec=layout.spec,
-        order_mode=layout.order_mode,
-        radius_mm=layout.radius_mm,
-        track_pitch_mm=layout.track_pitch_mm,
-        holes=tuple(holes),
-    )
 
 
 def _fmt(value: float) -> str:
@@ -305,21 +235,20 @@ def export_layout_svg(layout: DiskLayout, path) -> None:
     the pattern bits stacked radially inside the track.  Output bytes are a
     pure function of the layout.
     """
-    spec = layout.spec
+    schedule = layout.schedule
+    spec = schedule.spec
     radius = layout.radius_mm
     pitch = layout.track_pitch_mm
     size = 2.0 * (radius + 2.0 * pitch)
     center = size / 2.0
     bit_h = pitch / max(spec.n_cell, 1)
     # Keep every hole group narrower than its angular pitch at the innermost track.
-    slot_count = max(len(layout.holes), 1)
+    count = len(schedule.rows)
     inner_r = radius - (spec.n - 1) * pitch - pitch
-    arc = 2.0 * 3.141592653589793 * max(inner_r, pitch) / slot_count
+    arc = 2.0 * 3.141592653589793 * max(inner_r, pitch) / max(count, 1)
     bit_w = min(pitch, 0.8 * arc)
-
-    by_track: dict[int, list[HoleGroup]] = {}
-    for hole in layout.holes:
-        by_track.setdefault(hole.track, []).append(hole)
+    lit_bits = [np.flatnonzero(row).tolist() for row in layout.patterns.patterns]
+    pattern_index = schedule.pattern_index.tolist()
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -328,13 +257,13 @@ def export_layout_svg(layout: DiskLayout, path) -> None:
         f'<circle cx="{_fmt(center)}" cy="{_fmt(center)}" r="{_fmt(radius)}" '
         'fill="none" stroke="black" stroke-width="0.2"/>',
     ]
-    for track in sorted(by_track):
+    for track in np.unique(schedule.rows).tolist():
         parts.append(f'<g id="track_{track}">')
         track_r = radius - track * pitch - pitch
-        for hole in by_track[track]:
-            angle = float(hole.angle_deg)
-            lit = [j for j, b in enumerate(hole.bits) if b]
+        for s in np.flatnonzero(schedule.rows == track).tolist():
+            lit = lit_bits[pattern_index[s]]
             if lit:
+                angle = 360 * s / count  # int division, correctly rounded
                 parts.append(
                     f'<g transform="rotate({_fmt(angle)} {_fmt(center)} {_fmt(center)})">'
                 )

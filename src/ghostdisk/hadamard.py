@@ -27,7 +27,6 @@ scope for this toolkit.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,10 +45,7 @@ __all__ = [
     "is_supported_order",
     "random_pattern_set",
     "write_pattern_matrix",
-    "read_pattern_matrix",
     "write_pattern_pgms",
-    "read_pattern_pgms",
-    "load_pattern_set",
 ]
 
 
@@ -67,7 +63,7 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HadamardMatrix:
     """Sylvester Hadamard matrix: +-1 entries, ``H @ H.T = order * I``."""
 
@@ -92,13 +88,11 @@ class HadamardMatrix:
         object.__setattr__(self, "entries", _freeze(h))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedPatternSet:
     """The ``N x N`` binary pattern set left after reduction.
 
     Row ``i`` is illumination pattern ``i``; entry 1 means the pixel is lit.
-    ``degenerate`` flags the ``N = 1`` set, whose only pattern is all-dark
-    and cannot image anything.
     """
 
     pattern_length: int
@@ -114,10 +108,6 @@ class ReducedPatternSet:
         if not np.all((p == 0) | (p == 1)):
             raise ValueError("pattern entries must be 0 or 1")
         object.__setattr__(self, "patterns", _freeze(p))
-
-    @property
-    def degenerate(self) -> bool:
-        return self.pattern_length == 1
 
 
 @dataclass(frozen=True)
@@ -190,7 +180,7 @@ def random_pattern_set(pattern_length: int, count: int, seed: int) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Pattern-set file formats: plain-text matrix and one PGM per pattern.
+# Pattern-set exports: plain-text matrix and one PGM per pattern.
 # ---------------------------------------------------------------------------
 
 
@@ -200,26 +190,6 @@ def write_pattern_matrix(path, patterns: np.ndarray) -> None:
     lines = [" ".join(str(int(b)) for b in row) for row in p]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
-
-
-def read_pattern_matrix(path) -> np.ndarray:
-    """Read a plain-text 0/1 pattern matrix written by write_pattern_matrix."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("ascii")
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        bits = [int(tok) for tok in line.split()]
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"{path}: line {line_no} has entries other than 0/1")
-        rows.append(bits)
-    if not rows:
-        raise ValueError(f"{path}: no pattern rows found")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows; all patterns must share one length")
-    return _freeze(np.array(rows, dtype=np.int64))
 
 
 def write_pattern_pgms(directory, patterns: np.ndarray) -> list:
@@ -235,36 +205,3 @@ def write_pattern_pgms(directory, patterns: np.ndarray) -> list:
         pnm.write_pgm(path, image)
         paths.append(path)
     return paths
-
-
-def read_pattern_pgms(directory) -> np.ndarray:
-    """Read every ``pattern_<index>.pgm`` in a directory back into a matrix."""
-    directory = Path(directory)
-    indexed = []
-    for path in directory.glob("pattern_*.pgm"):
-        match = re.fullmatch(r"pattern_(\d+)\.pgm", path.name)
-        if match:
-            indexed.append((int(match.group(1)), path))
-    if not indexed:
-        raise ValueError(f"{directory}: no pattern_<index>.pgm files found")
-    indexed.sort()
-    rows = []
-    for index, path in indexed:
-        image = pnm.read_pgm(path)
-        if image.shape[0] != 1:
-            raise ValueError(f"{path}: pattern PGM must be a single row")
-        if not np.all((image == 0) | (image == 255)):
-            raise ValueError(f"{path}: pattern PGM values must be 0 or 255")
-        rows.append((image[0] // 255).astype(np.int64))
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{directory}: patterns disagree on length")
-    return _freeze(np.array(rows, dtype=np.int64))
-
-
-def load_pattern_set(path) -> np.ndarray:
-    """Load a pattern matrix from a text file or a directory of PGMs."""
-    path = Path(path)
-    if path.is_dir():
-        return read_pattern_pgms(path)
-    return read_pattern_matrix(path)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .disk import PartitionSpec, ScanSchedule, place_pattern
+from .disk import PartitionSpec, ScanSchedule, check_pattern_length, place_pattern
 from .hadamard import ReducedPatternSet, gram_coefficients
 from .scene import CHANNEL_NAMES
 
@@ -81,18 +81,10 @@ def oracle_reconstruct(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a.T @ (a @ flat)
 
 
-def _check_pattern_length(pattern_length: int) -> None:
-    # gram_coefficients rejects unsupported lengths with a specific message.
-    gram_coefficients(pattern_length)
-
-
 def predicted_contrast_reduced(pattern_length: int, n_obj: int) -> Fraction:
     """Exact in-cell contrast for n_obj lit pixels under a reduced pattern set."""
-    _check_pattern_length(pattern_length)
-    if not 1 <= n_obj <= pattern_length:
-        raise ValueError(f"n_obj must be in 1..{pattern_length}, got {n_obj}")
-    n = pattern_length
-    return Fraction(1 + n, 1 + n + 2 * n_obj * (n - 3))
+    gram_coefficients(pattern_length)  # rejects unsupported lengths
+    return predicted_contrast_part(pattern_length, n_obj)
 
 
 def predicted_contrast_part(part_length: int, n_obj: int) -> Fraction:
@@ -112,7 +104,7 @@ def predicted_contrast_part(part_length: int, n_obj: int) -> Fraction:
 
 def predicted_contrast_cell(pattern_length: int) -> Fraction:
     """Contrast when an entire cell of the given width is lit."""
-    _check_pattern_length(pattern_length)
+    gram_coefficients(pattern_length)  # rejects unsupported lengths
     n = pattern_length
     return Fraction(1 + n, 1 + n * (2 * n - 5))
 
@@ -191,11 +183,7 @@ def affine_invert(
     that are not clean correlation sums.  A frame accumulated over m full
     revolutions yields m times the object values.
     """
-    if patterns.pattern_length != spec.n_cell:
-        raise ValueError(
-            f"pattern length {patterns.pattern_length} does not match "
-            f"cell width {spec.n_cell}"
-        )
+    check_pattern_length(spec, patterns)
     arr = np.asarray(image, dtype=np.int64)
     if arr.shape[:2] != (spec.n, spec.n):
         raise ValueError(f"frame shape {arr.shape} does not match spec n {spec.n}")

@@ -35,7 +35,6 @@ __all__ = [
     "available_letters",
     "sample_scene",
     "translate_image",
-    "save_scene_ppm",
     "load_scene_ppm",
     "as_fraction",
 ]
@@ -68,7 +67,7 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneObject:
     """An n x n RGB image stored as a read-only (n, n, 3) uint8 array."""
 
@@ -87,10 +86,6 @@ class SceneObject:
     @property
     def side(self) -> int:
         return int(self.pixels.shape[0])
-
-    def lit_pixels(self, channel: int) -> int:
-        """Number of nonzero pixels in one channel."""
-        return int(np.count_nonzero(self.pixels[:, :, channel]))
 
 
 def _parse_glyphs(text: str) -> dict[str, np.ndarray]:
@@ -206,10 +201,6 @@ def sample_scene(scene: SceneObject, trajectory: Trajectory, t) -> SceneObject:
     if dx == 0 and dy == 0:
         return scene
     return SceneObject(pixels=translate_image(scene.pixels, dx, dy))
-
-
-def save_scene_ppm(scene: SceneObject, path) -> None:
-    pnm.write_ppm(path, scene.pixels)
 
 
 def load_scene_ppm(path) -> SceneObject:

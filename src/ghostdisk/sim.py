@@ -23,7 +23,6 @@ read from the counter-based generator at index ``3 * slot + channel``, so
 any slot's noise can be reproduced without replaying the slots before it.
 Buckets are computed in one thread, in fixed blocks of ``BLOCK_SLOTS``
 slots that bound the temporaries; window assembly is a separate pass.
-The ``workers`` argument is validated but changes neither output nor speed.
 """
 
 from __future__ import annotations
@@ -31,14 +30,14 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from pathlib import Path
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from . import pnm, rng
-from .disk import ScanSchedule
+from .disk import ScanSchedule, check_pattern_length
 from .hadamard import ReducedPatternSet
 from .scene import SceneObject, Trajectory, as_fraction, translate_image
 
@@ -54,8 +53,8 @@ __all__ = [
     "simulate",
     "window_grid",
     "write_frame_ppm",
+    "frame_texts",
     "write_frame_txt",
-    "read_frame_txt",
     "write_bucket_csv",
 ]
 
@@ -95,7 +94,7 @@ class TimingConfig:
         return self.revolution_period / slots_per_revolution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExposureFrame:
     """Accumulated image over one window, as exact integer counts."""
 
@@ -116,7 +115,7 @@ class BucketTrace:
     slot_dt: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Frames, their images as one ``(F, n, n, 3)`` int64 array, and the trace.
 
@@ -191,22 +190,15 @@ def simulate(
     timing: TimingConfig,
     noise_sigma: float = 0.0,
     seed: int = 0,
-    workers: int = 1,
 ) -> SimulationResult:
     """Run the clocked measurement and assemble exposure frames.
 
     Returns the emitted frames (ordered by window start) and the full
-    bucket trace over the simulated duration.  ``workers`` must be at
-    least 1 and is otherwise unused: every value gives the same bytes.
+    bucket trace over the simulated duration.  Raises ``ValueError`` up
+    front when a frame could overflow int64 (see ``_check_frame_peak``).
     """
     spec = schedule.spec
-    if patterns.pattern_length != spec.n_cell:
-        raise ValueError(
-            f"pattern length {patterns.pattern_length} does not match "
-            f"cell width {spec.n_cell}"
-        )
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_pattern_length(spec, patterns)
     if not 0 <= noise_sigma <= NOISE_SIGMA_MAX:
         raise ValueError(f"noise_sigma must be in [0, {NOISE_SIGMA_MAX:g}], got {noise_sigma}")
     if scene.side != spec.n:
@@ -215,6 +207,8 @@ def simulate(
     per_rev = spec.slots_per_revolution
     slot_dt = timing.slot_duration(per_rev)
     slot_count = math.ceil(timing.total_duration / slot_dt)
+    window_slots = min(math.ceil(timing.persistence_window / slot_dt), slot_count)
+    _check_frame_peak(patterns, per_rev, window_slots, noise_sigma)
     # Per schedule slot: the lit columns of its cell and its pattern bits.
     cols = (schedule.cells * spec.n_cell)[:, None] + np.arange(spec.n_cell)
     bits = patterns.patterns.astype(np.int64)[schedule.pattern_index]
@@ -251,6 +245,33 @@ def simulate(
     return SimulationResult(
         frames=frames, images=images, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt)
     )
+
+
+def _check_frame_peak(
+    patterns: ReducedPatternSet, per_rev: int, window_slots: int, noise_sigma: float
+) -> None:
+    """Refuse a run whose frames could pass int64, before any work.
+
+    A bucket is at most ``255 * per_slot`` plus the largest rounded noise,
+    ``floor(sigma * sqrt(106 ln 2)) + 1`` (``rng.gaussian`` is largest at its
+    smallest uniform, ``2**-53``), where ``per_slot`` is the most lit bits
+    of a pattern.  A window of ``window_slots`` slots visits each
+    schedule slot at most ``ceil(window_slots / per_rev)`` times, and a
+    pixel is lit by at most ``per_pixel`` slots of a revolution (the most
+    lit bits of a pattern column; both are ``c_max`` for the symmetric
+    reduced matrix).  Buckets are nonnegative, so the running accumulator
+    never exceeds the product; like ``NOISE_SIGMA_MAX`` it is a worst case.
+    """
+    per_slot = int(patterns.patterns.sum(axis=1).max())
+    per_pixel = int(patterns.patterns.sum(axis=0).max())
+    visits = -(-window_slots // per_rev)
+    noise = math.floor(noise_sigma * math.sqrt(-2.0 * math.log(2.0**-53))) + 1
+    peak = per_pixel * visits * (255 * per_slot + noise)
+    if peak >= 2**63:
+        raise ValueError(
+            f"frames could reach {peak:.3e} counts, past int64: shorten "
+            "persistence_time or lower noise_sigma"
+        )
 
 
 def window_grid(timing: TimingConfig, slot_dt: Fraction) -> tuple[Fraction, int]:
@@ -410,7 +431,7 @@ def _value_cells(images: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _frame_texts(images: np.ndarray) -> list[bytes]:
+def frame_texts(images: np.ndarray) -> list[bytes]:
     """``frame_NNNN.txt`` bytes of each frame of a ``(B, h, w, 3)`` int block.
 
     Dropping the zero padding of the value cells leaves exactly the
@@ -434,31 +455,9 @@ def write_frame_txt(images: np.ndarray, paths) -> None:
     One ``# channel <name>`` block per color, one line per row, values
     separated by single spaces.
     """
-    for data, path in zip(_frame_texts(images), paths, strict=True):
+    for data, path in zip(frame_texts(images), paths, strict=True):
         with open(path, "wb") as fh:
             fh.write(data)
-
-
-def read_frame_txt(path) -> np.ndarray:
-    """Read an (n, n, 3) int64 array written by write_frame_txt."""
-    text = Path(path).read_bytes().decode("ascii")
-    channels: list[list[list[int]]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# channel"):
-            channels.append([])
-            continue
-        if not channels:
-            raise ValueError(f"{path}: data before first channel header")
-        channels[-1].append([int(tok) for tok in line.split()])
-    if len(channels) != 3:
-        raise ValueError(f"{path}: expected 3 channel blocks, found {len(channels)}")
-    arrays = [np.array(block, dtype=np.int64) for block in channels]
-    if not (arrays[0].shape == arrays[1].shape == arrays[2].shape):
-        raise ValueError(f"{path}: channel blocks disagree in shape")
-    return np.stack(arrays, axis=2)
 
 
 def write_bucket_csv(trace: BucketTrace, path) -> None:

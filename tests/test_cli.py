@@ -224,6 +224,38 @@ def test_report_checks_stored_frame(tmp_path, capsys):
     assert main(["report", "--run-dir", str(out)]) == 3
 
 
+@pytest.mark.parametrize("edit", ["crlf", "trailing_space", "no_final_newline"])
+def test_report_rejects_any_byte_change(tmp_path, capsys, edit):
+    # The values still parse the same; only the bytes differ.
+    out = tmp_path / "run"
+    assert main(["simulate", *FAST, "--out", str(out)]) == 0
+    stored = out / "frame_0000.txt"
+    data = stored.read_bytes()
+    if edit == "crlf":
+        data = data.replace(b"\n", b"\r\n")
+    elif edit == "trailing_space":
+        data = data.replace(b"\n", b" \n", 2)
+    else:
+        data = data[:-1]
+    stored.write_bytes(data)
+    assert main(["report", "--run-dir", str(out)]) == 4
+    assert "does not match" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+def test_simulate_frame_overflow_exits_2(tmp_path, capsys):
+    # Ten revolutions per window at the largest sigma: a frame pixel could
+    # reach about 1.3e20, so the run is refused before anything is written.
+    out = tmp_path / "run"
+    argv = ["simulate", *FAST, "--revolution-period", "1", "--persistence-time", "10",
+            "--total-duration", "10", "--noise-sigma", "5e17", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: frames could reach") and "int64" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_report_missing_run_dir_exits_2(tmp_path):
     assert main(["report", "--run-dir", str(tmp_path / "nope")]) == 2
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ghostdisk import config, scene
+from ghostdisk import config, pnm, scene
 from ghostdisk.config import ConfigError
 
 
@@ -144,17 +145,17 @@ def test_resolve_components_rejects_bad_partition():
 def test_resolve_components_loads_object_file(tmp_path):
     obj = scene.builtin_letter("J", 7, "green")
     path = tmp_path / "obj.ppm"
-    scene.save_scene_ppm(obj, path)
+    pnm.write_ppm(path, obj.pixels)
     cfg = config.merge_config({"n": "7", "k": "1", "object_path": str(path)})
     _, _, _, loaded, _, _ = config.resolve_components(cfg)
     assert loaded.side == 7
-    assert loaded.lit_pixels(1) == obj.lit_pixels(1)
+    assert np.array_equal(loaded.pixels, obj.pixels)
 
 
 def test_resolve_components_checks_object_size(tmp_path):
     obj = scene.builtin_letter("J", 7, "green")
     path = tmp_path / "obj.ppm"
-    scene.save_scene_ppm(obj, path)
+    pnm.write_ppm(path, obj.pixels)
     cfg = config.merge_config({"n": "35", "k": "5", "object_path": str(path)})
     with pytest.raises(ConfigError, match="7x7"):
         config.resolve_components(cfg)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -102,15 +103,34 @@ def test_place_pattern_validates():
         disk.place_pattern(spec, disk.SlotDescriptor(0, 0, 0, 0), patterns_for(7))
 
 
-def test_layout_angles_and_tracks():
+def layout_csv_oracle(schedule, patterns) -> bytes:
+    """The layout CSV built per slot, with a Fraction angle."""
+    lines = ["slot,row,cell,pattern,track,angle_num,angle_den,bits"]
+    count = len(schedule.slots)
+    for slot in schedule.slots:
+        angle = Fraction(360 * slot.slot_index, count)
+        bits = "".join(str(b) for b in patterns.patterns[slot.pattern_index].tolist())
+        lines.append(
+            f"{slot.slot_index},{slot.row},{slot.cell},{slot.pattern_index},{slot.row},"
+            f"{angle.numerator},{angle.denominator},{bits}"
+        )
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_layout_angles_and_tracks(tmp_path):
     spec = disk.make_spec(3, 1)
     schedule = disk.build_schedule(spec)
     layout = disk.disk_layout(schedule, patterns_for(3))
-    assert len(layout.holes) == 9
-    assert [h.angle_deg for h in layout.holes] == [Fraction(360 * i, 9) for i in range(9)]
-    assert [h.track for h in layout.holes] == [h.row for h in layout.holes]
+    assert layout.schedule is schedule and (layout.radius_mm, layout.track_pitch_mm) == (60.0, 1.5)
+    path = tmp_path / "layout.csv"
+    disk.layout_to_csv(layout, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    angles = [Fraction(int(num), int(den)) for *_, num, den, _ in rows]
+    assert angles == [Fraction(360 * i, 9) for i in range(9)]
+    assert [r[4] for r in rows] == [r[1] for r in rows]
     # Point-scan patterns: one lit bit per hole group.
-    assert all(sum(h.bits) == 1 for h in layout.holes)
+    assert all(r[7].count("1") == 1 for r in rows)
 
 
 def test_layout_rejects_bad_geometry():
@@ -120,6 +140,8 @@ def test_layout_rejects_bad_geometry():
         disk.disk_layout(schedule, patterns_for(3), radius_mm=0.0)
     with pytest.raises(ValueError, match="positive"):
         disk.disk_layout(schedule, patterns_for(3), track_pitch_mm=-1.0)
+    with pytest.raises(ValueError, match="does not match"):
+        disk.disk_layout(schedule, patterns_for(7))
 
 
 def test_schedule_csv_round_trip(tmp_path):
@@ -127,28 +149,63 @@ def test_schedule_csv_round_trip(tmp_path):
     schedule = disk.build_schedule(spec, "part_major")
     path = tmp_path / "schedule.csv"
     disk.schedule_to_csv(schedule, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "slot,row,cell,pattern"
-    assert lines[1] == "0,0,0,0"
-    back = disk.schedule_from_csv(path, spec, "part_major")
-    assert (back.spec, back.order_mode) == (schedule.spec, schedule.order_mode)
-    for field in ("rows", "cells", "pattern_index"):
-        assert np.array_equal(getattr(back, field), getattr(schedule, field))
-    assert back.slots == schedule.slots
+    lines = ["slot,row,cell,pattern"]
+    lines += [f"{s.slot_index},{s.row},{s.cell},{s.pattern_index}" for s in schedule.slots]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9154f25a6338cedede723c5df2aa340aa5cb3078ced48d53efb00f4a909bf320"
+    )
 
 
-def test_schedule_csv_rejects_missing_header(tmp_path):
-    path = tmp_path / "schedule.csv"
-    path.write_text("0,0,0,0\n")
-    with pytest.raises(ValueError, match="header"):
-        disk.schedule_from_csv(path, disk.make_spec(3, 1))
+# sha256 of the schedule CSV, layout CSV and layout SVG (default geometry),
+# as written when the layout still held one object per hole group.
+RECORDED_EXPORTS = {
+    (3, 1, "pattern_major"): (
+        "cf397ad435515bdbe7dd3809eeb6358e0cea21530eb17f3c616cbc39e5720514",
+        "77c3675cb24a8d34251ee4a935e9b4e301dfc3a06658dd77dd38067385bd1237",
+        "f76c41e8f85976760606858ced05732ea094550a3c87cf98ccecaf5a7252d1cc",
+    ),
+    (3, 1, "part_major"): (
+        "68c47ad3fec1b277bb8d12acf7ca13952c20dd6d1f9ff69273c6d99dc8d7ebd8",
+        "0c3a3c0d51bfc76e808ec08c1b2b144b456e6cd6d84813719f6315fde6ef90e6",
+        "fee8d41913af9fa3c624b9a0817bb8ca32cf4338330b237ff3e13c533093d06c",
+    ),
+    (6, 2, "pattern_major"): (
+        "f6cb74c114eaf054dbb7e4afe8dfedce4c6ce6ca49baac316a1f31a7f64f444c",
+        "02ee5acdf4e2b699734223a3d97164ceec4fe0e5a5b124fc6f2c2f83ec04a04b",
+        "a100f02522b8f4b807eea45d1dc3ac68d5172b7cfb92da2cb50523374189a057",
+    ),
+    (6, 2, "part_major"): (
+        "f80eacfb60d875cb8ad4e2b1052d78e8932bcfbc404c2917302057f43b33500e",
+        "08e736d109aec1aced48d25fbcc4d9bf4a6bffdefa682c11127f31bae6bf09ea",
+        "e8cccfb7ba40119136b3d4867a7f0fb95e035299a6f1d751e1bbf284fe2540df",
+    ),
+    (35, 5, "pattern_major"): (
+        "1b8cf6e795e131376730b17285e1bc0827eac7a3373a0631daf3fe632202dd98",
+        "7af2934e2f907463e33e1a6376517459df52d1c3408d0c0a1daac7eaae315bd9",
+        "cb38ac5ddbd43253d5c45c31cb76882cb022f1781d3fea6c4d34911c5769e6a1",
+    ),
+    (35, 5, "part_major"): (
+        "ffbc63d13d7529c6f78353cf42d7dfd5262952cc44d765ac3f1f5332118f3aeb",
+        "fbaed60ad9753f2b5a4ad6dfc57e3f7d5c095d36c848f2cb2be8de013b2f5003",
+        "b220845f3952f9087e99586ef282337bd207454ecca80855c5356de3e3ac170f",
+    ),
+}
 
 
-def test_schedule_csv_rejects_misnumbered_slots(tmp_path):
-    path = tmp_path / "schedule.csv"
-    path.write_text("slot,row,cell,pattern\n0,0,0,0\n2,0,0,1\n")
-    with pytest.raises(ValueError, match="slot 2 where slot 1 belongs"):
-        disk.schedule_from_csv(path, disk.make_spec(3, 1))
+@pytest.mark.parametrize("n,k,mode", sorted(RECORDED_EXPORTS))
+def test_exports_match_recorded_bytes(tmp_path, n, k, mode):
+    spec = disk.make_spec(n, k)
+    schedule = disk.build_schedule(spec, mode)
+    layout = disk.disk_layout(schedule, patterns_for(spec.n_cell))
+    disk.schedule_to_csv(schedule, tmp_path / "schedule.csv")
+    disk.layout_to_csv(layout, tmp_path / "layout.csv")
+    disk.export_layout_svg(layout, tmp_path / "layout.svg")
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("schedule.csv", "layout.csv", "layout.svg")
+    )
+    assert digests == RECORDED_EXPORTS[n, k, mode]
 
 
 def test_build_schedule_arrays_are_read_only():
@@ -160,13 +217,13 @@ def test_build_schedule_arrays_are_read_only():
 
 
 def test_layout_csv_round_trip(tmp_path):
-    spec = disk.make_spec(6, 2)
-    schedule = disk.build_schedule(spec)
-    layout = disk.disk_layout(schedule, patterns_for(3))
-    path = tmp_path / "layout.csv"
-    disk.layout_to_csv(layout, path)
-    back = disk.layout_from_csv(path, layout)
-    assert back == layout
+    for n, k in ((6, 2), (21, 3), (35, 5)):
+        for mode in disk.ORDER_MODES:
+            schedule = disk.build_schedule(disk.make_spec(n, k), mode)
+            patterns = patterns_for(n // k)
+            path = tmp_path / f"layout_{n}_{mode}.csv"
+            disk.layout_to_csv(disk.disk_layout(schedule, patterns), path)
+            assert path.read_bytes() == layout_csv_oracle(schedule, patterns)
 
 
 def test_svg_export_is_deterministic_and_structured(tmp_path):
@@ -182,7 +239,7 @@ def test_svg_export_is_deterministic_and_structured(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert text.count('<g id="track_') == 6
     # One rectangle per lit bit over the whole revolution.
-    total_bits = sum(sum(h.bits) for h in layout.holes)
+    total_bits = pats.patterns[schedule.pattern_index].sum()
     assert text.count("<rect ") == total_bits
     assert "<svg xmlns=" in text
 

@@ -1,11 +1,11 @@
-"""Pattern construction: orthogonality, reduction, Gram structure, file I/O."""
+"""Pattern construction: orthogonality, reduction, Gram structure, file exports."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from ghostdisk import hadamard
+from ghostdisk import hadamard, pnm
 
 # The reduced order-8 set, derived by hand from the Sylvester doubling
 # construction: map -1 -> 0, drop first row and column.
@@ -72,13 +72,6 @@ def test_gram_coefficients_reject_unsupported_lengths(length):
         hadamard.gram_coefficients(length)
 
 
-def test_degenerate_flag():
-    one = hadamard.ReducedPatternSet(pattern_length=1, patterns=np.zeros((1, 1), dtype=np.int64))
-    assert one.degenerate
-    seven = hadamard.reduce_matrix(hadamard.sylvester_hadamard(8))
-    assert not seven.degenerate
-
-
 def test_pattern_set_validation():
     with pytest.raises(ValueError):
         hadamard.ReducedPatternSet(pattern_length=3, patterns=np.zeros((2, 3), dtype=np.int64))
@@ -116,53 +109,26 @@ def test_pattern_matrix_round_trip(tmp_path):
     reduced = hadamard.reduce_matrix(hadamard.sylvester_hadamard(8))
     path = tmp_path / "patterns.txt"
     hadamard.write_pattern_matrix(path, reduced.patterns)
-    back = hadamard.read_pattern_matrix(path)
-    assert np.array_equal(back, reduced.patterns)
-    # Byte-stable output.
-    first = path.read_bytes()
-    hadamard.write_pattern_matrix(path, reduced.patterns)
-    assert path.read_bytes() == first
-
-
-def test_pattern_matrix_rejects_bad_files(tmp_path):
-    bad = tmp_path / "bad.txt"
-    bad.write_text("0 1 2\n")
-    with pytest.raises(ValueError, match="0/1"):
-        hadamard.read_pattern_matrix(bad)
-    bad.write_text("0 1\n0 1 1\n")
-    with pytest.raises(ValueError, match="ragged"):
-        hadamard.read_pattern_matrix(bad)
-    bad.write_text("\n\n")
-    with pytest.raises(ValueError, match="no pattern rows"):
-        hadamard.read_pattern_matrix(bad)
+    lines = [" ".join(str(b) for b in row) for row in reduced.patterns.tolist()]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    assert lines[0] == "0 1 0 1 0 1 0"
 
 
 def test_pattern_pgm_round_trip(tmp_path):
     reduced = hadamard.reduce_matrix(hadamard.sylvester_hadamard(16))
     paths = hadamard.write_pattern_pgms(tmp_path, reduced.patterns)
-    assert len(paths) == 15
-    assert sorted(p.name for p in paths)[0] == "pattern_0.pgm"
-    back = hadamard.read_pattern_pgms(tmp_path)
-    assert np.array_equal(back, reduced.patterns)
+    assert paths == [tmp_path / f"pattern_{i}.pgm" for i in range(15)]
+    for row, path in zip(reduced.patterns, paths):
+        image = pnm.read_pgm(path)
+        assert image.dtype == np.uint8
+        assert np.array_equal(image, 255 * row[None, :])
 
 
 def test_pattern_pgm_index_order_not_lexicographic(tmp_path):
-    # 12 patterns: pattern_10.pgm sorts before pattern_2.pgm by name, the
-    # reader must order numerically.
+    # 12 patterns: pattern_10.pgm sorts before pattern_2.pgm by name, but
+    # the file index is the pattern's row index.
     arr = np.eye(12, dtype=np.int64)
     hadamard.write_pattern_pgms(tmp_path, arr)
-    back = hadamard.read_pattern_pgms(tmp_path)
-    assert np.array_equal(back, arr)
-
-
-def test_load_pattern_set_dispatch(tmp_path):
-    arr = hadamard.random_pattern_set(9, 4, seed=1)
-    file_path = tmp_path / "pats.txt"
-    hadamard.write_pattern_matrix(file_path, arr)
-    assert np.array_equal(hadamard.load_pattern_set(file_path), arr)
-    pgm_dir = tmp_path / "pgms"
-    pgm_dir.mkdir()
-    hadamard.write_pattern_pgms(pgm_dir, arr)
-    assert np.array_equal(hadamard.load_pattern_set(pgm_dir), arr)
-    with pytest.raises(ValueError, match="no pattern"):
-        hadamard.read_pattern_pgms(tmp_path / "pgms_empty")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"pattern_{i}.pgm" for i in range(12))
+    for i in (2, 10):
+        assert np.flatnonzero(pnm.read_pgm(tmp_path / f"pattern_{i}.pgm")[0]).tolist() == [i]
