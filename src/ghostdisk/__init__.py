@@ -21,7 +21,6 @@ from .disk import (
 )
 from .hadamard import (
     GramCoefficients,
-    HadamardMatrix,
     ReducedPatternSet,
     gram,
     gram_coefficients,
@@ -47,7 +46,6 @@ __all__ = [
     "__version__",
     "DiskLayout",
     "GramCoefficients",
-    "HadamardMatrix",
     "PartitionSpec",
     "ReducedPatternSet",
     "ScanSchedule",

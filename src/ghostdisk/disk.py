@@ -172,9 +172,10 @@ class DiskLayout:
     track_pitch_mm: float
 
     def __post_init__(self):
-        if self.radius_mm <= 0 or self.track_pitch_mm <= 0:
+        if not (0 < self.radius_mm < np.inf and 0 < self.track_pitch_mm < np.inf):
             raise ValueError(
-                f"geometry must be positive: radius={self.radius_mm}, pitch={self.track_pitch_mm}"
+                "geometry must be finite and positive: "
+                f"radius={self.radius_mm}, pitch={self.track_pitch_mm}"
             )
         check_pattern_length(self.schedule.spec, self.patterns)
         object.__setattr__(self, "radius_mm", float(self.radius_mm))

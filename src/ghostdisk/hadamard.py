@@ -1,8 +1,8 @@
 """Reduced-Hadamard illumination pattern sets.
 
 A Sylvester Hadamard matrix ``H`` of order ``N_H = 2^m`` has entries in
-{-1, +1}, satisfies ``H @ H.T == N_H * I`` exactly, and (in the normalized
-form built here) carries an all-ones first row and first column.  Mapping
+{-1, +1} and mutually orthogonal rows, and (in the normalized form built
+here) carries an all-ones first row and first column.  Mapping
 ``-1 -> 0`` turns each row into a binary illumination pattern, but the
 first pattern is then all-bright and the first pixel of every pattern is
 always lit; both only add background.  Dropping the first row and column
@@ -35,7 +35,6 @@ import numpy as np
 from . import pnm, rng
 
 __all__ = [
-    "HadamardMatrix",
     "ReducedPatternSet",
     "GramCoefficients",
     "sylvester_hadamard",
@@ -49,43 +48,14 @@ __all__ = [
 ]
 
 
-def _is_power_of_two(value: int) -> bool:
-    return value >= 1 and (value & (value - 1)) == 0
-
-
 def is_supported_order(order: int) -> bool:
     """True when ``order`` is a constructible (power-of-two) Hadamard order."""
-    return order >= 2 and _is_power_of_two(order)
+    return order >= 2 and (order & (order - 1)) == 0
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-@dataclass(frozen=True, eq=False)
-class HadamardMatrix:
-    """Sylvester Hadamard matrix: +-1 entries, ``H @ H.T = order * I``."""
-
-    order: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if not is_supported_order(self.order):
-            raise ValueError(
-                f"order {self.order} is not supported: only the Sylvester "
-                "construction (order a power of two, >= 2) is built"
-            )
-        h = np.asarray(self.entries, dtype=np.int64)
-        if h.shape != (self.order, self.order):
-            raise ValueError(f"entries shape {h.shape} does not match order {self.order}")
-        if not np.all(np.abs(h) == 1):
-            raise ValueError("entries must be +1 or -1")
-        if not np.array_equal(h @ h.T, self.order * np.eye(self.order, dtype=np.int64)):
-            raise ValueError("rows are not orthogonal: H @ H.T != order * I")
-        if not (np.all(h[0] == 1) and np.all(h[:, 0] == 1)):
-            raise ValueError("matrix is not normalized: first row/column must be all +1")
-        object.__setattr__(self, "entries", _freeze(h))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +88,13 @@ class GramCoefficients:
     c_max: int
 
 
-def sylvester_hadamard(order: int) -> HadamardMatrix:
+def sylvester_hadamard(order: int) -> np.ndarray:
     """Build the Sylvester Hadamard matrix of the given power-of-two order.
 
     Doubling step: ``H_{2m} = [[H_m, H_m], [H_m, -H_m]]`` starting from
-    ``[[1, 1], [1, -1]]``.  Exact integer arithmetic throughout.
+    ``[[1, 1], [1, -1]]``.  Exact integer arithmetic throughout, and the
+    result is orthogonal and normalized by construction, so it is not
+    re-checked.  Returns a read-only +-1 int64 array.
     """
     if not is_supported_order(order):
         raise ValueError(
@@ -133,16 +105,13 @@ def sylvester_hadamard(order: int) -> HadamardMatrix:
     block = np.array([[1, 1], [1, -1]], dtype=np.int64)
     while h.shape[0] < order:
         h = np.kron(block, h)
-    return HadamardMatrix(order=order, entries=h)
+    return _freeze(h)
 
 
-def reduce_matrix(matrix: HadamardMatrix) -> ReducedPatternSet:
+def reduce_matrix(matrix: np.ndarray) -> ReducedPatternSet:
     """Map ``-1 -> 0`` and drop the first row and column."""
-    bits = (matrix.entries + 1) // 2
-    return ReducedPatternSet(
-        pattern_length=matrix.order - 1,
-        patterns=bits[1:, 1:],
-    )
+    bits = (matrix[1:, 1:] + 1) // 2
+    return ReducedPatternSet(pattern_length=len(bits), patterns=bits)
 
 
 def gram(patterns: ReducedPatternSet) -> np.ndarray:

@@ -104,9 +104,7 @@ def predicted_contrast_part(part_length: int, n_obj: int) -> Fraction:
 
 def predicted_contrast_cell(pattern_length: int) -> Fraction:
     """Contrast when an entire cell of the given width is lit."""
-    gram_coefficients(pattern_length)  # rejects unsupported lengths
-    n = pattern_length
-    return Fraction(1 + n, 1 + n * (2 * n - 5))
+    return predicted_contrast_reduced(pattern_length, pattern_length)
 
 
 def contrast_from_gram(pattern_length: int, n_obj: int) -> Fraction:
@@ -152,8 +150,10 @@ def cell_report_contrast(
 
     For a partly lit cell the raw in-cell extrema are used.  A fully lit
     cell has no unlit pixel, so its floor is estimated from the Gram
-    ratio: dark = bright_measured * N * c_min / (c_max + (N - 1) * c_min).
-    An empty cell reports 0.
+    ratio, dark = bright * N * c_min / (c_max + (N - 1) * c_min); the
+    measured peak ``bright`` then cancels and the cell reports the model
+    value ``predicted_contrast_cell(N)``, or 0 when its peak is 0.  An
+    empty cell reports 0.
     """
     r, cols = cell_slice(spec, row, cell)
     values = image[r, cols, channel]
@@ -163,14 +163,9 @@ def cell_report_contrast(
         raise ValueError(f"n_obj must be in 0..{spec.n_cell}, got {n_obj}")
     if n_obj < spec.n_cell:
         return measured_contrast(values)
-    coeffs = gram_coefficients(spec.n_cell)
-    bright_model = coeffs.c_max + (spec.n_cell - 1) * coeffs.c_min
-    dark_model = spec.n_cell * coeffs.c_min
-    bright = Fraction(int(np.max(values)))
-    dark = bright * Fraction(dark_model, bright_model)
-    if bright + dark == 0:
+    if np.max(values) == 0:
         return Fraction(0)
-    return (bright - dark) / (bright + dark)
+    return predicted_contrast_cell(spec.n_cell)
 
 
 def affine_invert(

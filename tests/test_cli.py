@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from ghostdisk import config, metrics, scene, sim
@@ -74,6 +76,46 @@ def test_layout_outputs(tmp_path):
 def test_layout_without_outputs_exits_2(capsys):
     assert main(["layout", "--n", "3", "--k", "1"]) == 2
     assert "need --svg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--radius-mm", "--track-pitch-mm"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_layout_non_finite_geometry_exits_2(tmp_path, capsys, flag, value):
+    svg = tmp_path / "disk.svg"
+    csv = tmp_path / "disk.csv"
+    args = ["layout", "--n", "35", "--k", "5", f"{flag}={value}"]
+    assert main(args + ["--svg", str(svg), "--csv", str(csv)]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not svg.exists() and not csv.exists()
+
+
+# sha256 of each `patterns` output file (for --pgm-dir, of the sorted file
+# names and bytes), recorded while every Hadamard matrix was self-checked.
+RECORDED_PATTERNS = {
+    ("--length", "7"): "cc2cb308e8b1c87f8768954d7ddbc66688d58fe0f64cf684a943bb7c66d962c1",
+    ("--length", "31"): "83e4344d3ddeaa991cc21cb850c48d4bfef8ed0e5f70d882f29c6d5350bf732e",
+    ("--length", "1023"): "f4e4c6d2556dff75eb7ab02b4c9bec78e78d374ebe07070218e449f250b5bcfb",
+    ("--length", "15", "--pgm-dir"): (
+        "c908e01781e63d59643938ad114c2f0b678d6e4fc9173d57127547a7f779771a"
+    ),
+    ("--length", "7", "--random", "12", "--seed", "3"): (
+        "1e854368f27a66c9a1921b17e44472030b8d08a7bc8bd76944cc5920cd9bbcf2"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(RECORDED_PATTERNS))
+def test_patterns_match_recorded_bytes(tmp_path, args):
+    out = tmp_path / "out"
+    if args[-1] == "--pgm-dir":
+        assert main(["patterns", *args, str(out)]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    else:
+        assert main(["patterns", *args, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes())
+    assert digest.hexdigest() == RECORDED_PATTERNS[args]
 
 
 def test_simulate_writes_run_directory(tmp_path, capsys):

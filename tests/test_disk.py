@@ -140,6 +140,11 @@ def test_layout_rejects_bad_geometry():
         disk.disk_layout(schedule, patterns_for(3), radius_mm=0.0)
     with pytest.raises(ValueError, match="positive"):
         disk.disk_layout(schedule, patterns_for(3), track_pitch_mm=-1.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            disk.disk_layout(schedule, patterns_for(3), radius_mm=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            disk.disk_layout(schedule, patterns_for(3), track_pitch_mm=bad)
     with pytest.raises(ValueError, match="does not match"):
         disk.disk_layout(schedule, patterns_for(7))
 

@@ -26,10 +26,30 @@ REDUCED_8 = np.array(
 @pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64, 128])
 def test_sylvester_orthogonality(order):
     h = hadamard.sylvester_hadamard(order)
-    assert h.entries.shape == (order, order)
-    assert np.array_equal(h.entries @ h.entries.T, order * np.eye(order, dtype=np.int64))
-    assert np.all(h.entries[0] == 1)
-    assert np.all(h.entries[:, 0] == 1)
+    assert h.shape == (order, order)
+    assert np.array_equal(h @ h.T, order * np.eye(order, dtype=np.int64))
+    assert np.all(h[0] == 1)
+    assert np.all(h[:, 0] == 1)
+
+
+@pytest.mark.parametrize("order", [2**m for m in range(1, 11)])
+def test_sylvester_matches_popcount_closed_form(order):
+    # Sylvester (1867): H[i, j] = (-1)^popcount(i & j).
+    i, j = np.indices((order, order))
+    parity = np.zeros_like(i)
+    bits = i & j
+    while bits.any():
+        parity ^= bits & 1
+        bits >>= 1
+    h = hadamard.sylvester_hadamard(order)
+    assert h.dtype == np.int64
+    assert np.array_equal(h, 1 - 2 * parity)
+
+
+def test_sylvester_matrix_is_read_only():
+    h = hadamard.sylvester_hadamard(8)
+    with pytest.raises(ValueError):
+        h[0, 0] = -1
 
 
 @pytest.mark.parametrize("order", [0, 1, 3, 6, 12, 20, 100])

@@ -161,6 +161,29 @@ def test_cell_report_contrast_partial_and_full():
     assert empty == 0
 
 
+def gram_ratio_full_cell_oracle(n_cell, peak):
+    # Estimate a fully lit cell's dark level from its measured peak.
+    coeffs = hadamard.gram_coefficients(n_cell)
+    bright = Fraction(peak)
+    dark = bright * Fraction(
+        n_cell * coeffs.c_min, coeffs.c_max + (n_cell - 1) * coeffs.c_min
+    )
+    if bright + dark == 0:
+        return Fraction(0)
+    return (bright - dark) / (bright + dark)
+
+
+@pytest.mark.parametrize("n", [3, 7, 15, 31, 63])
+def test_full_cell_report_is_gram_ratio_estimate(n):
+    assert metrics.predicted_contrast_cell(n) == Fraction(1 + n, 1 + n * (2 * n - 5))
+    spec = disk.make_spec(n, 1)
+    frame = np.zeros((n, n, 3), dtype=np.int64)
+    for peak in (0, 1, 5, -3, 10**18, -(10**18)):
+        frame[0, :, 0] = peak - np.arange(n)
+        got = metrics.cell_report_contrast(frame, spec, 0, 0, 0, n)
+        assert got == gram_ratio_full_cell_oracle(n, peak)
+
+
 def test_affine_invert_recovers_random_objects():
     spec, patterns, schedule = make_setup()
     gen = np.random.default_rng(2)

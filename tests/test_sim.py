@@ -386,7 +386,6 @@ def test_array_dataclasses_compare_by_identity():
         random_scene(6, 1), scene.Trajectory(), schedule, patterns, one_rev_timing()
     )
     pairs = [
-        (h8, hadamard.sylvester_hadamard(8)),
         (hadamard.reduce_matrix(h8), hadamard.reduce_matrix(h8)),
         (scene.builtin_letter("U", 35), scene.builtin_letter("U", 35)),
         (result.frames[0], dataclasses.replace(result.frames[0])),
