@@ -263,10 +263,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -275,9 +272,13 @@ def main(argv=None) -> int:
     except (AssertionError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (ArithmeticError, MemoryError) as exc:
-        # Their messages may be empty ("MemoryError()"), so name the type.
+    except ArithmeticError as exc:
+        # Its message may be empty ("ZeroDivisionError()"), so name the type.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        # Preformatted: formatting the error could need memory it lacks.
+        sys.stderr.write("internal error: MemoryError\n")
         return 4
 
 

@@ -166,13 +166,10 @@ def load_config_file(path) -> dict[str, str]:
 
 def merge_config(*layers: dict[str, str]) -> RunConfig:
     """Apply raw key/value layers over the defaults, later layers winning."""
-    cfg = DEFAULTS
     merged: dict[str, str] = {}
     for layer in layers:
         merged.update(layer)
-    updates = {key: parse_value(key, text) for key, text in merged.items()}
-    cfg = replace(cfg, **updates)
-    return cfg
+    return replace(DEFAULTS, **{key: parse_value(key, text) for key, text in merged.items()})
 
 
 def _value_text(value) -> str:

@@ -163,7 +163,7 @@ class DiskLayout:
 
     Slot ``s`` of the schedule is one hole group on track ``rows[s]`` at
     ``360 * s / n^2`` degrees, with the bits of pattern ``pattern_index[s]``.
-    Radius and pitch are in millimeters and only affect the exported drawing.
+    Radius and pitch are in mm, radius > n * pitch, and only affect the drawing.
     """
 
     schedule: ScanSchedule
@@ -176,6 +176,12 @@ class DiskLayout:
             raise ValueError(
                 "geometry must be finite and positive: "
                 f"radius={self.radius_mm}, pitch={self.track_pitch_mm}"
+            )
+        inner_bound = self.schedule.spec.n * self.track_pitch_mm
+        if self.radius_mm <= inner_bound:
+            raise ValueError(
+                f"innermost track does not fit: radius must exceed n * track pitch "
+                f"= {inner_bound:g} mm, got {self.radius_mm:g} mm"
             )
         check_pattern_length(self.schedule.spec, self.patterns)
         object.__setattr__(self, "radius_mm", float(self.radius_mm))

@@ -154,11 +154,14 @@ def random_pattern_set(pattern_length: int, count: int, seed: int) -> np.ndarray
 
 
 def write_pattern_matrix(path, patterns: np.ndarray) -> None:
-    """Write one pattern per line, bits space-separated."""
+    """Write one pattern per line, bits space-separated; bits must be 0 or 1."""
     p = np.asarray(patterns)
-    lines = [" ".join(str(int(b)) for b in row) for row in p]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+    if not np.all((p == 0) | (p == 1)):
+        raise ValueError("pattern entries must be 0 or 1")
+    text = np.full((p.shape[0], 2 * p.shape[1]), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = p.astype(np.uint8) + ord("0")
+    text[:, -1] = ord("\n")
+    Path(path).write_bytes(text.tobytes())
 
 
 def write_pattern_pgms(directory, patterns: np.ndarray) -> list:

@@ -130,9 +130,8 @@ def builtin_letter(letter: str, n: int, color: str = "white") -> SceneObject:
     if n < 7:
         raise ValueError(f"target side {n} is smaller than the 7x7 glyph")
     glyph = glyphs[letter]
-    rows = (np.arange(n) * 7) // n
-    cols = (np.arange(n) * 7) // n
-    scaled = glyph[np.ix_(rows, cols)]
+    index = (np.arange(n) * 7) // n
+    scaled = glyph[np.ix_(index, index)]
     pixels = np.zeros((n, n, 3), dtype=np.uint8)
     for channel in COLOR_CHANNELS[color]:
         pixels[:, :, channel] = scaled * np.uint8(255)

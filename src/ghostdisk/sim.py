@@ -21,13 +21,14 @@ depends on floating-point rounding.
 Detector noise, when enabled, perturbs each bucket value with a Gaussian
 read from the counter-based generator at index ``3 * slot + channel``, so
 any slot's noise can be reproduced without replaying the slots before it.
-Buckets are computed in one thread, in fixed blocks of ``BLOCK_SLOTS``
-slots that bound the temporaries; window assembly is a separate pass.
+In one thread, a first pass gathers each bucket's pattern row and posed
+cell by index, per run of constant pose in blocks of at most ``BLOCK_SLOTS``
+slots; a second adds the noise over fixed blocks of ``BLOCK_SLOTS`` slots,
+and a third assembles the windows.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -209,39 +210,30 @@ def simulate(
     slot_count = math.ceil(timing.total_duration / slot_dt)
     window_slots = min(math.ceil(timing.persistence_window / slot_dt), slot_count)
     _check_frame_peak(patterns, per_rev, window_slots, noise_sigma)
-    # Per schedule slot: the lit columns of its cell and its pattern bits.
-    cols = (schedule.cells * spec.n_cell)[:, None] + np.arange(spec.n_cell)
-    bits = patterns.patterns.astype(np.int64)[schedule.pattern_index]
 
     base = scene.pixels.astype(np.int64)
     poses: dict[tuple[int, int], np.ndarray] = {(0, 0): base}
-    runs = _offset_blocks(trajectory, slot_dt, slot_count)
-    for _, _, offset in runs:
+    buckets = np.zeros((slot_count, 3), dtype=np.int64)
+    for lo, hi, offset in _offset_blocks(trajectory, slot_dt, slot_count):
         if offset not in poses:
             poses[offset] = translate_image(base, offset[0], offset[1])
+        cells = poses[offset].reshape(spec.n, spec.k, spec.n_cell, 3)
+        for b_lo in range(lo, hi, BLOCK_SLOTS):
+            b_hi = min(b_lo + BLOCK_SLOTS, hi)
+            j = np.arange(b_lo, b_hi) % per_rev
+            lit = cells[schedule.rows[j], schedule.cells[j]]
+            bits = patterns.patterns[schedule.pattern_index[j]]
+            buckets[b_lo:b_hi] = np.einsum("sj,sjc->sc", bits, lit)
 
-    buckets = np.zeros((slot_count, 3), dtype=np.int64)
-    run_starts = [r_lo for r_lo, _, _ in runs]
     sigma = float(noise_sigma)
-
-    def fill(lo: int, hi: int) -> None:
-        i = bisect.bisect_right(run_starts, lo) - 1
-        while i < len(runs) and runs[i][0] < hi:
-            r_lo, r_hi, offset = runs[i]
-            i += 1
-            lo2, hi2 = max(lo, r_lo), min(hi, r_hi)
-            j = np.arange(lo2, hi2) % per_rev
-            seg = poses[offset][schedule.rows[j, None], cols[j], :]
-            buckets[lo2:hi2] = np.einsum("sj,sjc->sc", bits[j], seg)
-        if sigma > 0:
+    if sigma > 0:
+        for lo in range(0, slot_count, BLOCK_SLOTS):
+            hi = min(lo + BLOCK_SLOTS, slot_count)
             z = rng.gaussians(seed, 3 * lo, 3 * hi).reshape(-1, 3)
             noise = np.floor(sigma * z + 0.5).astype(np.int64)
             buckets[lo:hi] = np.maximum(buckets[lo:hi] + noise, 0)
 
-    for lo in range(0, slot_count, BLOCK_SLOTS):
-        fill(lo, min(lo + BLOCK_SLOTS, slot_count))
-
-    images, frames = _frames(schedule, bits, buckets, timing, slot_dt)
+    images, frames = _frames(schedule, patterns.patterns, buckets, timing, slot_dt)
     return SimulationResult(
         frames=frames, images=images, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt)
     )
@@ -288,7 +280,7 @@ def window_grid(timing: TimingConfig, slot_dt: Fraction) -> tuple[Fraction, int]
 
 def _frames(
     schedule: ScanSchedule,
-    bits: np.ndarray,
+    matrix: np.ndarray,  # (n_cell, n_cell) 0/1 patterns
     buckets: np.ndarray,
     timing: TimingConfig,
     slot_dt: Fraction,
@@ -313,7 +305,8 @@ def _frames(
         for b_lo in range(lo, hi, BLOCK_SLOTS):
             b_hi = min(b_lo + BLOCK_SLOTS, hi)
             j = np.arange(b_lo, b_hi) % spec.slots_per_revolution
-            terms = bits[j][:, :, None] * (sign * buckets[b_lo:b_hi, None, :])
+            bits = matrix[schedule.pattern_index[j]]
+            terms = bits[:, :, None] * (sign * buckets[b_lo:b_hi, None, :])
             np.add.at(acc, (schedule.rows[j], schedule.cells[j]), terms)
 
     frames = []

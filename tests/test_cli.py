@@ -89,6 +89,21 @@ def test_layout_non_finite_geometry_exits_2(tmp_path, capsys, flag, value):
     assert not svg.exists() and not csv.exists()
 
 
+def test_layout_inner_track_through_centre_exits_2(tmp_path, capsys):
+    # 42 is the smallest buildable n >= 40 (n / k must be 2**m - 1); at the
+    # default 60 mm radius and 1.5 mm pitch its innermost track would sit
+    # at 60 - 42 * 1.5 = -3 mm, through the centre.
+    svg = tmp_path / "disk.svg"
+    csv = tmp_path / "disk.csv"
+    assert main(["layout", "--n", "42", "--k", "6", "--svg", str(svg), "--csv", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: innermost track does not fit: radius must exceed n * track pitch "
+        "= 63 mm, got 60 mm"
+    ]
+    assert not svg.exists() and not csv.exists()
+
+
 # sha256 of each `patterns` output file (for --pgm-dir, of the sorted file
 # names and bytes), recorded while every Hadamard matrix was self-checked.
 RECORDED_PATTERNS = {
@@ -174,8 +189,21 @@ def test_simulate_unwritable_out_exits_3(tmp_path):
     assert main(["simulate", *FAST, "--out", str(blocker / "run")]) == 3
 
 
+class UnprintableMemoryError(MemoryError):
+    """Formatting it fails again, as it can when memory is short."""
+
+    def __str__(self):
+        raise MemoryError
+
+
 @pytest.mark.parametrize(
-    "error", [OverflowError("int too large"), ZeroDivisionError("division by zero"), MemoryError()]
+    "error",
+    [
+        OverflowError("int too large"),
+        ZeroDivisionError("division by zero"),
+        MemoryError(),
+        UnprintableMemoryError(),
+    ],
 )
 def test_simulate_arithmetic_and_memory_errors_exit_4(tmp_path, capsys, monkeypatch, error):
     from ghostdisk import cli
@@ -186,7 +214,10 @@ def test_simulate_arithmetic_and_memory_errors_exit_4(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "simulate", fail)
     assert main(["simulate", *FAST, "--out", str(tmp_path / "x")]) == 4
     err = capsys.readouterr().err
-    assert err.splitlines() == [f"internal error: {type(error).__name__}: {error}"]
+    if isinstance(error, MemoryError):
+        assert err.splitlines() == ["internal error: MemoryError"]
+    else:
+        assert err.splitlines() == [f"internal error: {type(error).__name__}: {error}"]
     assert "Traceback" not in err
 
 

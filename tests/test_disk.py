@@ -149,6 +149,19 @@ def test_layout_rejects_bad_geometry():
         disk.disk_layout(schedule, patterns_for(7))
 
 
+def test_layout_refuses_inner_track_at_or_through_centre():
+    schedule = disk.build_schedule(disk.make_spec(6, 2))
+    # The innermost of 6 tracks at 1.5 mm pitch sits at radius - 9 mm.
+    with pytest.raises(ValueError, match=r"exceed n \* track pitch = 9 mm"):
+        disk.disk_layout(schedule, patterns_for(3), radius_mm=9.0, track_pitch_mm=1.5)
+    layout = disk.disk_layout(schedule, patterns_for(3), radius_mm=9.001, track_pitch_mm=1.5)
+    assert layout.radius_mm == 9.001
+    # Default geometry: n = 39 fits (58.5 mm < 60 mm), n = 42 does not.
+    disk.disk_layout(disk.build_schedule(disk.make_spec(39, 13)), patterns_for(3))
+    with pytest.raises(ValueError, match="innermost track does not fit"):
+        disk.disk_layout(disk.build_schedule(disk.make_spec(42, 6)), patterns_for(7))
+
+
 def test_schedule_csv_round_trip(tmp_path):
     spec = disk.make_spec(21, 3)
     schedule = disk.build_schedule(spec, "part_major")

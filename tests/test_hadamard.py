@@ -134,6 +134,16 @@ def test_pattern_matrix_round_trip(tmp_path):
     assert lines[0] == "0 1 0 1 0 1 0"
 
 
+@pytest.mark.parametrize(
+    "bad", [[[0, 2]], [[-1, 1]], [[0.5, 1]], [[float("nan"), 0]], [[True, 3]]]
+)
+def test_pattern_matrix_refuses_non_binary_entries(tmp_path, bad):
+    path = tmp_path / "patterns.txt"
+    with pytest.raises(ValueError, match="0 or 1"):
+        hadamard.write_pattern_matrix(path, np.array(bad))
+    assert not path.exists()
+
+
 def test_pattern_pgm_round_trip(tmp_path):
     reduced = hadamard.reduce_matrix(hadamard.sylvester_hadamard(16))
     paths = hadamard.write_pattern_pgms(tmp_path, reduced.patterns)

@@ -362,6 +362,66 @@ def test_noise_matches_counter_indexing():
     assert len(noisy.trace.buckets) == 3 * sim.BLOCK_SLOTS + 100
 
 
+@pytest.mark.parametrize("hold", [None, Fraction(173, 7)])
+def test_pose_runs_across_bucket_blocks_match_per_slot_oracle(hold):
+    from ghostdisk import rng
+
+    spec, patterns, schedule = make_setup()
+    obj = random_scene(6, 19)
+    period = Fraction(1, 5)
+    slot_dt = period / 36
+    slot_count = 2 * sim.BLOCK_SLOTS + 500
+    sigma, seed = 2.5, 4
+    # Slow motion keeps the object in view over the whole 48 s run and
+    # gives poses held longer than a block.
+    traj = scene.Trajectory(
+        mode="linear", velocity=(Fraction(1, 30), Fraction(-1, 40)), hold_interval=hold
+    )
+    runs = sim._offset_blocks(traj, slot_dt, slot_count)
+    # Every fixed noise-block edge falls inside a pose run, and a moved pose
+    # spans more than one bucket block of its run.
+    edges = range(sim.BLOCK_SLOTS, slot_count, sim.BLOCK_SLOTS)
+    assert all(any(lo < edge < hi for lo, hi, _ in runs) for edge in edges)
+    assert any(hi - lo > sim.BLOCK_SLOTS and offset != (0, 0) for lo, hi, offset in runs)
+    timing = sim.TimingConfig(
+        revolution_period=period,
+        persistence_window=period,
+        window_mode="tumbling",
+        total_duration=slot_count * slot_dt,
+    )
+    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=sigma, seed=seed)
+    assert result.trace.buckets.shape == (slot_count, 3)
+    masks = [disk.place_pattern(spec, slot, patterns) for slot in schedule.slots]
+    poses = {}
+    for s, row in enumerate(result.trace.buckets.tolist()):
+        offset = traj.offset_at(s * slot_dt)
+        if offset not in poses:
+            poses[offset] = scene.translate_image(obj.pixels, *offset)
+        clean = sim.bucket_value(masks[s % 36], poses[offset]).tolist()
+        expected = [
+            max(0, clean[ch] + math.floor(sigma * rng.gaussian(seed, 3 * s + ch) + 0.5))
+            for ch in range(3)
+        ]
+        assert row == expected, s
+
+
+def test_one_revolution_at_n155_traces_little_beyond_its_result():
+    import tracemalloc
+
+    spec, patterns, schedule = make_setup(n=155, k=5)
+    obj = scene.builtin_letter("T", 155, "white")
+    tracemalloc.start()
+    try:
+        result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, one_rev_timing())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = result.images.nbytes + result.trace.buckets.nbytes
+    # Block temporaries only: one 24,025 x 31 int64 array, a per-slot
+    # expansion of the schedule, alone takes about 6 MB.
+    assert peak - own <= 14 * 2**20
+
+
 def test_simulate_validation():
     spec, patterns, schedule = make_setup()
     obj = random_scene(6, 15)
