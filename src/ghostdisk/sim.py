@@ -21,10 +21,14 @@ depends on floating-point rounding.
 Detector noise, when enabled, perturbs each bucket value with a Gaussian
 read from the counter-based generator at index ``3 * slot + channel``, so
 any slot's noise can be reproduced without replaying the slots before it.
-In one thread, a first pass gathers each bucket's pattern row and posed
-cell by index, per run of constant pose in blocks of at most ``BLOCK_SLOTS``
-slots; a second adds the noise over fixed blocks of ``BLOCK_SLOTS`` slots,
-and a third assembles the windows.
+In one thread, a first pass computes the noise-free buckets per run of
+constant pose, a second adds the noise over fixed blocks of ``BLOCK_SLOTS``
+slots, and a third assembles the windows from one running accumulator.  A
+pose run or window delta of at least ``1 / PATTERN_DOMAIN_SHARE`` of a
+revolution goes through the ``n_cell x n_cell`` pattern matrix ``R`` once
+(the table ``R @ cells``, or ``R^T`` times its buckets summed per (row,
+cell, pattern)); a shorter one goes slot by slot.  Both are exact int64 sums
+of the same terms, so the switch changes only speed, never bytes.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ NOISE_SIGMA_MAX = 5e17
 # Slots per block of bucket products, noise and accumulator updates; bounds
 # the per-block temporaries.
 BLOCK_SLOTS = 4096
+
+# Pose runs and window deltas of at least 1/PATTERN_DOMAIN_SHARE of a
+# revolution go through the pattern matrix once, shorter ones slot by slot;
+# both costs grow with slots per revolution (crossovers measured at n = 35, 155).
+PATTERN_DOMAIN_SHARE = 10
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,8 @@ def simulate(
 
     Returns the emitted frames (ordered by window start) and the full
     bucket trace over the simulated duration.  Raises ``ValueError`` up
-    front when a frame could overflow int64 (see ``_check_frame_peak``).
+    front when a frame could overflow int64 (see ``_check_frame_peak``) or
+    the ``(F, n, n, 3)`` int64 frame array has more bytes than numpy can index.
     """
     spec = schedule.spec
     check_pattern_length(spec, patterns)
@@ -209,8 +219,16 @@ def simulate(
     slot_dt = timing.slot_duration(per_rev)
     slot_count = math.ceil(timing.total_duration / slot_dt)
     window_slots = min(math.ceil(timing.persistence_window / slot_dt), slot_count)
+    frame_count = window_grid(timing, slot_dt)[1]
+    if frame_count * per_rev * 3 * 8 > np.iinfo(np.intp).max:
+        shown = frame_count if frame_count < 10**18 else "over 10**18"
+        raise ValueError(
+            f"{shown} frames of {spec.n}x{spec.n} pixels cannot be indexed: "
+            "lengthen persistence_time"
+        )
     _check_frame_peak(patterns, per_rev, window_slots, noise_sigma)
 
+    matrix = patterns.patterns
     base = scene.pixels.astype(np.int64)
     poses: dict[tuple[int, int], np.ndarray] = {(0, 0): base}
     buckets = np.zeros((slot_count, 3), dtype=np.int64)
@@ -218,12 +236,16 @@ def simulate(
         if offset not in poses:
             poses[offset] = translate_image(base, offset[0], offset[1])
         cells = poses[offset].reshape(spec.n, spec.k, spec.n_cell, 3)
+        # table[r, c, p] is the bucket of pattern p on cell c of row r.
+        table = matrix @ cells if (hi - lo) * PATTERN_DOMAIN_SHARE >= per_rev else None
         for b_lo in range(lo, hi, BLOCK_SLOTS):
             b_hi = min(b_lo + BLOCK_SLOTS, hi)
             j = np.arange(b_lo, b_hi) % per_rev
-            lit = cells[schedule.rows[j], schedule.cells[j]]
-            bits = patterns.patterns[schedule.pattern_index[j]]
-            buckets[b_lo:b_hi] = np.einsum("sj,sjc->sc", bits, lit)
+            rows, cols, pats = schedule.rows[j], schedule.cells[j], schedule.pattern_index[j]
+            if table is None:
+                buckets[b_lo:b_hi] = np.einsum("sj,sjc->sc", matrix[pats], cells[rows, cols])
+            else:
+                buckets[b_lo:b_hi] = table[rows, cols, pats]
 
     sigma = float(noise_sigma)
     if sigma > 0:
@@ -233,7 +255,7 @@ def simulate(
             noise = np.floor(sigma * z + 0.5).astype(np.int64)
             buckets[lo:hi] = np.maximum(buckets[lo:hi] + noise, 0)
 
-    images, frames = _frames(schedule, patterns.patterns, buckets, timing, slot_dt)
+    images, frames = _frames(schedule, matrix, buckets, timing, slot_dt)
     return SimulationResult(
         frames=frames, images=images, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt)
     )
@@ -253,6 +275,14 @@ def _check_frame_peak(
     lit bits of a pattern column; both are ``c_max`` for the symmetric
     reduced matrix).  Buckets are nonnegative, so the running accumulator
     never exceeds the product; like ``NOISE_SIGMA_MAX`` it is a worst case.
+
+    The same bound covers the pattern-domain window update ``R^T @ dB``.
+    A delta's slots all lie in one window (they leave the previous window
+    or enter the new one), and its ``dB`` holds one sign, as buckets are
+    >= 0.  So every partial sum of a pixel's projection has that sign and
+    is at most the delta's whole share of that pixel, within +-peak; each
+    ``dB`` entry is at most ``visits`` buckets, also within +-peak unless
+    every pattern is dark, when every product with it is 0.
     """
     per_slot = int(patterns.patterns.sum(axis=1).max())
     per_pixel = int(patterns.patterns.sum(axis=0).max())
@@ -298,16 +328,40 @@ def _frames(
     window = timing.persistence_window
     step, count = window_grid(timing, slot_dt)
 
+    per_rev = spec.slots_per_revolution
     acc = np.zeros((spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
+    sums = np.zeros_like(acc)  # dB: a delta's buckets per (row, cell, pattern)
+    matrix_t = np.ascontiguousarray(matrix.T)
     images = np.empty((count, spec.n, spec.n, 3), dtype=np.int64)
 
     def add(lo: int, hi: int, sign: int) -> None:
-        for b_lo in range(lo, hi, BLOCK_SLOTS):
-            b_hi = min(b_lo + BLOCK_SLOTS, hi)
-            j = np.arange(b_lo, b_hi) % spec.slots_per_revolution
-            bits = matrix[schedule.pattern_index[j]]
-            terms = bits[:, :, None] * (sign * buckets[b_lo:b_hi, None, :])
-            np.add.at(acc, (schedule.rows[j], schedule.cells[j]), terms)
+        if (hi - lo) * PATTERN_DOMAIN_SHARE < per_rev:
+            for b_lo in range(lo, hi, BLOCK_SLOTS):
+                b_hi = min(b_lo + BLOCK_SLOTS, hi)
+                j = np.arange(b_lo, b_hi) % per_rev
+                bits = matrix[schedule.pattern_index[j]]
+                terms = bits[:, :, None] * (sign * buckets[b_lo:b_hi, None, :])
+                np.add.at(acc, (schedule.rows[j], schedule.cells[j]), terms)
+            return
+        # Slot s plays schedule position s % per_rev, and no position repeats
+        # within a revolution: sum whole revolutions per position, then add
+        # each part by plain fancy +=, BLOCK_SLOTS positions at a time.
+        sums[...] = 0
+        head = min(-(-lo // per_rev) * per_rev, hi)
+        tail = max(hi // per_rev * per_rev, head)
+        for s_lo, s_hi in ((lo, head), (head, tail), (tail, hi)):
+            revs = max(1, (s_hi - s_lo) // per_rev)
+            span = (s_hi - s_lo) // revs
+            part = buckets[s_lo:s_hi].reshape(revs, span, 3)
+            first = s_lo % per_rev
+            rows, cols, pats = (
+                a[first : first + span]
+                for a in (schedule.rows, schedule.cells, schedule.pattern_index)
+            )
+            for p in range(0, span, BLOCK_SLOTS):
+                q = slice(p, p + BLOCK_SLOTS)
+                sums[rows[q], cols[q], pats[q]] += sign * part[:, q].sum(axis=0)
+        acc[...] += matrix_t @ sums
 
     frames = []
     cur_lo = cur_hi = 0

@@ -329,6 +329,19 @@ def test_simulate_frame_overflow_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_unindexable_frame_count_exits_2(tmp_path, capsys):
+    # Tumbling windows far shorter than a slot ask for 10**300 frames, whose
+    # array numpy cannot index: refused before any slot is simulated.
+    out = tmp_path / "run"
+    argv = ["simulate", "--n", "14", "--k", "2", "--persistence-time", "1e-300", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: over 10**18 frames of 14x14 pixels cannot be indexed: lengthen persistence_time"
+    ]
+    assert not out.exists()
+
+
 def test_report_missing_run_dir_exits_2(tmp_path):
     assert main(["report", "--run-dir", str(tmp_path / "nope")]) == 2
 

@@ -269,6 +269,52 @@ def test_frame_overflow_refused_up_front():
         sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing, noise_sigma=1.01 * sigma)
 
 
+def test_projected_window_near_int64_bound_is_exact():
+    # Windows of 7/2 revolutions at n = 35 take the pattern-domain update:
+    # three whole revolutions summed per position and a partial one.  A
+    # window visits each slot at most 4 times and c_max = 3, so the bound is
+    # 12 * (765 + floor(sigma * 8.5717) + 1) < 2**63 for this sigma.
+    spec, patterns, schedule = make_setup(n=35, k=5)
+    per_rev = spec.slots_per_revolution
+    obj = scene.builtin_letter("X", 35, "white")
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(7, 2),
+        total_duration=Fraction(7),
+    )
+    sigma = (2**63 // 12 - 766) / 8.5717
+    result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing, noise_sigma=sigma)
+    assert len(result.frames) == 2
+    lit = [np.argwhere(disk.place_pattern(spec, slot, patterns)) for slot in schedule.slots]
+    buckets, slot_dt = result.trace.buckets.tolist(), result.trace.slot_dt
+    for frame in result.frames:
+        expected = [[[0] * 3 for _ in range(35)] for _ in range(35)]
+        for s in range(math.ceil(frame.start / slot_dt), math.ceil(frame.end / slot_dt)):
+            for r, c in lit[s % per_rev]:
+                for ch in range(3):
+                    expected[r][c][ch] += buckets[s][ch]
+        assert frame.image.tolist() == expected, frame.start
+    assert result.images.max() > 2**59
+    with pytest.raises(ValueError, match="past int64"):
+        sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing, noise_sigma=1.01 * sigma)
+
+
+def test_unindexable_frame_count_refused_up_front(monkeypatch):
+    spec, patterns, schedule = make_setup(n=3, k=1)
+    obj = random_scene(3, 0)
+
+    def no_work(*args):
+        raise AssertionError("the bucket pass ran")
+
+    monkeypatch.setattr(sim, "_offset_blocks", no_work)
+    # 42,700,796,466,920,259 frames of 9 pixels take 216 bytes each: just past 2**63 - 1.
+    timing = sim.TimingConfig(persistence_window=Fraction(1, 42_700_796_466_920_259))
+    with pytest.raises(ValueError, match="^42700796466920259 frames of 3x3 pixels cannot be"):
+        sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
+    timing = sim.TimingConfig(persistence_window=Fraction(1, 10**400))
+    with pytest.raises(ValueError, match="^over 10\\*\\*18 frames"):
+        sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
+
+
 def test_fine_hold_interval_costs_slots_not_blocks():
     spec, patterns, schedule = make_setup(n=7, k=1)
     obj = scene.builtin_letter("T", 7, "white")
@@ -420,6 +466,138 @@ def test_one_revolution_at_n155_traces_little_beyond_its_result():
     # Block temporaries only: one 24,025 x 31 int64 array, a per-slot
     # expansion of the schedule, alone takes about 6 MB.
     assert peak - own <= 14 * 2**20
+
+
+def test_window_pass_at_n155_traces_under_3_mib():
+    import tracemalloc
+
+    spec, patterns, schedule = make_setup(n=155, k=5)
+    obj = scene.builtin_letter("T", 155, "white")
+    timing = one_rev_timing()
+    buckets = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing).trace.buckets
+    tracemalloc.start()
+    try:
+        images, _ = sim._frames(
+            schedule, patterns.patterns, buckets, timing, timing.slot_duration(155 * 155)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The frame itself is 0.55 MiB; a per-slot scatter of 4,096 x 31 x 3
+    # int64 terms alone would take 3 MiB.
+    assert images.nbytes == 155 * 155 * 3 * 8
+    assert peak <= 3 * 2**20
+
+
+def asymmetric_patterns(length, seed):
+    """A 0/1 pattern set with ``R != R.T``, for transposition mistakes."""
+    bits = np.random.default_rng(seed).integers(0, 2, size=(length, length))
+    bits[0, 1], bits[1, 0] = 1, 0
+    return hadamard.ReducedPatternSet(pattern_length=length, patterns=bits)
+
+
+def assert_matches_dense_oracle(result, schedule, patterns, obj, traj, sigma, seed):
+    """Every bucket and frame against rows of the dense measurement matrix."""
+    from ghostdisk import rng
+
+    per_rev = schedule.spec.slots_per_revolution
+    buckets, slot_dt = result.trace.buckets, result.trace.slot_dt
+    rows = metrics.build_measurement_matrix(schedule, patterns)[
+        np.arange(len(buckets)) % per_rev
+    ]
+    poses = {}
+    for s, row in enumerate(rows):
+        offset = traj.offset_at(s * slot_dt)
+        if offset not in poses:
+            poses[offset] = scene.translate_image(obj.pixels, *offset).astype(np.int64)
+        clean = (row @ poses[offset].reshape(-1, 3)).tolist()
+        for ch in range(3):
+            noise = math.floor(sigma * rng.gaussian(seed, 3 * s + ch) + 0.5) if sigma else 0
+            assert buckets[s, ch] == max(0, clean[ch] + noise), (s, ch)
+    for frame in result.frames:
+        lo, hi = math.ceil(frame.start / slot_dt), math.ceil(frame.end / slot_dt)
+        expected = rows[lo:hi].T @ buckets[lo:hi]
+        assert np.array_equal(frame.image.reshape(-1, 3), expected), frame.start
+
+
+@pytest.mark.parametrize("window_mode", sim.WINDOW_MODES)
+@pytest.mark.parametrize("pattern_set", ["reduced", "asymmetric"])
+@pytest.mark.parametrize("order_mode", disk.ORDER_MODES)
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_pattern_domain_switch_matches_dense_oracle(side, order_mode, pattern_set, window_mode):
+    # Pose runs and tumbling windows of exactly b slots, one slot below or
+    # at the switch; sliding windows mix one such delta with one-slot steps.
+    spec, patterns, schedule = make_setup(n=14, k=2, order_mode=order_mode)
+    if pattern_set == "asymmetric":
+        patterns = asymmetric_patterns(spec.n_cell, 3)
+    per_rev = spec.slots_per_revolution
+    switch = -(-per_rev // sim.PATTERN_DOMAIN_SHARE)
+    assert switch >= 2
+    b = switch - 1 if side == "below" else switch
+    period = Fraction(1)
+    slot_dt = period / per_rev
+    slot_count = 12 * b  # crosses the first revolution edge
+    traj = scene.Trajectory(
+        mode="linear", velocity=(1 / (b * slot_dt), -1 / (2 * b * slot_dt)),
+        hold_interval=b * slot_dt,
+    )
+    runs = sim._offset_blocks(traj, slot_dt, slot_count)
+    assert [hi - lo for lo, hi, _ in runs] == [b] * 12
+    timing = sim.TimingConfig(
+        revolution_period=period, persistence_window=b * slot_dt,
+        window_mode=window_mode, total_duration=slot_count * slot_dt,
+    )
+    obj = random_scene(14, 21)
+    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=3.0, seed=8)
+    assert len(result.frames) == (12 if window_mode == "tumbling" else 11 * b + 1)
+    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 3.0, 8)
+
+
+@pytest.mark.parametrize("pattern_set", ["reduced", "asymmetric"])
+@pytest.mark.parametrize("order_mode", disk.ORDER_MODES)
+@pytest.mark.parametrize("motion", ["static", "linear"])
+def test_windows_across_revolutions_match_dense_oracle(motion, order_mode, pattern_set):
+    # Tumbling windows of 7/3 revolutions: each delta covers parts of three
+    # revolutions, at least one of them whole and one partial.
+    spec, patterns, schedule = make_setup(n=14, k=2, order_mode=order_mode)
+    if pattern_set == "asymmetric":
+        patterns = asymmetric_patterns(spec.n_cell, 5)
+    if motion == "static":
+        traj = scene.Trajectory()
+    else:
+        traj = scene.Trajectory(mode="linear", velocity=(Fraction(1, 3), Fraction(-1, 5)))
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(7, 3),
+        total_duration=Fraction(7),
+    )
+    obj = random_scene(14, 22)
+    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=9)
+    assert len(result.frames) == 3
+    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 9)
+
+
+@pytest.mark.parametrize("order_mode", disk.ORDER_MODES)
+def test_pattern_domain_switch_changes_no_bytes_at_n155(monkeypatch, order_mode):
+    # Windows of 7/3 revolutions of 24,025 slots sum whole revolutions in
+    # several BLOCK_SLOTS position blocks; motion gives pose runs on both
+    # sides of the switch.  A share of 0 sends every run and delta slot by slot.
+    spec, patterns, schedule = make_setup(n=155, k=5, order_mode=order_mode)
+    obj = scene.builtin_letter("J", 155, "white")
+    traj = scene.Trajectory(mode="linear", velocity=(Fraction(7), Fraction(-3)))
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(7, 3),
+        total_duration=Fraction(5),
+    )
+    slot_dt = timing.slot_duration(155**2)
+    runs = [hi - lo for lo, hi, _ in sim._offset_blocks(traj, slot_dt, 5 * 155**2)]
+    switch = 155**2 / sim.PATTERN_DOMAIN_SHARE
+    assert min(runs) < switch <= max(runs)
+    projected = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=3)
+    monkeypatch.setattr(sim, "PATTERN_DOMAIN_SHARE", 0)
+    direct = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=3)
+    assert_traces_equal(projected.trace, direct.trace)
+    assert len(projected.images) == 2
+    assert np.array_equal(projected.images, direct.images)
 
 
 def test_simulate_validation():
