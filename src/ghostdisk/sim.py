@@ -21,14 +21,15 @@ depends on floating-point rounding.
 Detector noise, when enabled, perturbs each bucket value with a Gaussian
 read from the counter-based generator at index ``3 * slot + channel``, so
 any slot's noise can be reproduced without replaying the slots before it.
-In one thread, a first pass computes the noise-free buckets per run of
-constant pose, a second adds the noise over fixed blocks of ``BLOCK_SLOTS``
-slots, and a third assembles the windows from one running accumulator.  A
-pose run or window delta of at least ``1 / PATTERN_DOMAIN_SHARE`` of a
-revolution goes through the ``n_cell x n_cell`` pattern matrix ``R`` once
-(the table ``R @ cells``, or ``R^T`` times its buckets summed per (row,
-cell, pattern)); a shorter one goes slot by slot.  Both are exact int64 sums
-of the same terms, so the switch changes only speed, never bytes.
+In one thread, a first pass gathers each bucket's pattern row and posed
+cell by index, per run of constant pose in blocks of at most ``BLOCK_SLOTS``
+slots; a second adds the noise over fixed blocks of ``BLOCK_SLOTS`` slots,
+and a third assembles the windows from one running accumulator.  A window
+delta of at least ``1 / PATTERN_DOMAIN_SHARE`` of a revolution sums its
+buckets per (row, cell, pattern) and goes through the ``n_cell x n_cell``
+pattern matrix once, as ``R^T @ dB``; a shorter one goes slot by slot.  Both
+are exact int64 sums of the same terms, so the switch changes only speed,
+never bytes.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ NOISE_SIGMA_MAX = 5e17
 # the per-block temporaries.
 BLOCK_SLOTS = 4096
 
-# Pose runs and window deltas of at least 1/PATTERN_DOMAIN_SHARE of a
-# revolution go through the pattern matrix once, shorter ones slot by slot;
-# both costs grow with slots per revolution (crossovers measured at n = 35, 155).
-PATTERN_DOMAIN_SHARE = 10
+# Window deltas of at least 1/PATTERN_DOMAIN_SHARE of a revolution go
+# through the pattern matrix once, shorter ones slot by slot; both costs grow
+# with slots per revolution (crossovers measured at n = 35, 155).
+PATTERN_DOMAIN_SHARE = 16
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,6 @@ def simulate(
         )
     _check_frame_peak(patterns, per_rev, window_slots, noise_sigma)
 
-    matrix = patterns.patterns
     base = scene.pixels.astype(np.int64)
     poses: dict[tuple[int, int], np.ndarray] = {(0, 0): base}
     buckets = np.zeros((slot_count, 3), dtype=np.int64)
@@ -236,16 +236,12 @@ def simulate(
         if offset not in poses:
             poses[offset] = translate_image(base, offset[0], offset[1])
         cells = poses[offset].reshape(spec.n, spec.k, spec.n_cell, 3)
-        # table[r, c, p] is the bucket of pattern p on cell c of row r.
-        table = matrix @ cells if (hi - lo) * PATTERN_DOMAIN_SHARE >= per_rev else None
         for b_lo in range(lo, hi, BLOCK_SLOTS):
             b_hi = min(b_lo + BLOCK_SLOTS, hi)
             j = np.arange(b_lo, b_hi) % per_rev
-            rows, cols, pats = schedule.rows[j], schedule.cells[j], schedule.pattern_index[j]
-            if table is None:
-                buckets[b_lo:b_hi] = np.einsum("sj,sjc->sc", matrix[pats], cells[rows, cols])
-            else:
-                buckets[b_lo:b_hi] = table[rows, cols, pats]
+            lit = cells[schedule.rows[j], schedule.cells[j]]
+            bits = patterns.patterns[schedule.pattern_index[j]]
+            buckets[b_lo:b_hi] = np.einsum("sj,sjc->sc", bits, lit)
 
     sigma = float(noise_sigma)
     if sigma > 0:
@@ -255,7 +251,7 @@ def simulate(
             noise = np.floor(sigma * z + 0.5).astype(np.int64)
             buckets[lo:hi] = np.maximum(buckets[lo:hi] + noise, 0)
 
-    images, frames = _frames(schedule, matrix, buckets, timing, slot_dt)
+    images, frames = _frames(schedule, patterns.patterns, buckets, timing, slot_dt)
     return SimulationResult(
         frames=frames, images=images, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt)
     )
