@@ -172,20 +172,21 @@ class DiskLayout:
     track_pitch_mm: float
 
     def __post_init__(self):
-        if not (0 < self.radius_mm < np.inf and 0 < self.track_pitch_mm < np.inf):
+        radius, pitch = float(self.radius_mm), float(self.track_pitch_mm)
+        if not (0 < radius < np.inf and 0 < pitch < np.inf and 2 * (radius + 2 * pitch) < np.inf):
             raise ValueError(
-                "geometry must be finite and positive: "
-                f"radius={self.radius_mm}, pitch={self.track_pitch_mm}"
+                "geometry and the drawing size 2 * (radius + 2 * pitch) must be finite "
+                f"and positive: radius={radius}, pitch={pitch}"
             )
-        inner_bound = self.schedule.spec.n * self.track_pitch_mm
-        if self.radius_mm <= inner_bound:
+        inner_bound = self.schedule.spec.n * pitch
+        if radius <= inner_bound:
             raise ValueError(
                 f"innermost track does not fit: radius must exceed n * track pitch "
-                f"= {inner_bound:g} mm, got {self.radius_mm:g} mm"
+                f"= {inner_bound:g} mm, got {radius:g} mm"
             )
         check_pattern_length(self.schedule.spec, self.patterns)
-        object.__setattr__(self, "radius_mm", float(self.radius_mm))
-        object.__setattr__(self, "track_pitch_mm", float(self.track_pitch_mm))
+        object.__setattr__(self, "radius_mm", radius)
+        object.__setattr__(self, "track_pitch_mm", pitch)
 
 
 def disk_layout(

@@ -142,10 +142,10 @@ def random_pattern_set(pattern_length: int, count: int, seed: int) -> np.ndarray
         raise ValueError("pattern_length must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    stream = rng.BitStream(seed)
-    flat = stream.take(pattern_length * count)
-    out = np.array(flat, dtype=np.int64).reshape(count, pattern_length)
-    return _freeze(out)
+    size = pattern_length * count
+    big_endian = rng.words(seed, 0, -(-size // 64)).astype(">u8")
+    bits = np.unpackbits(big_endian.view(np.uint8))[:size]
+    return _freeze(bits.astype(np.int64).reshape(count, pattern_length))
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ Derived draws, also fixed by this module:
                ``sqrt(-2 ln u1) * cos(2 pi u2)`` with ``u1`` from the even
                word and ``u2`` from the odd word.
 
-``gaussians`` evaluates a whole counter range at once: the words and
-uniforms in numpy ``uint64`` (exact, as the uniform's numerator is at most
-2^53), ``log`` and ``cos`` through the same libm calls as ``gaussian``, and
-every float step in the same order, so each draw is bit-identical to the
-scalar one.
+``words`` evaluates a whole counter range at once in numpy ``uint64``.
+``gaussians`` takes its uniforms from those words in ``uint64`` too (exact,
+as the uniform's numerator is at most 2^53), ``log`` and ``cos`` through the
+same libm calls as ``gaussian``, and every float step in the same order, so
+each draw is bit-identical to the scalar one.
 """
 
 from __future__ import annotations
@@ -73,48 +73,29 @@ def gaussian(seed: int, index: int) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def gaussians(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Draws ``lo .. hi-1`` as float64, equal bit for bit to ``gaussian``."""
+def words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Words ``lo .. hi-1`` as uint64, equal to ``word`` for each index."""
     if not 0 <= lo <= hi:
-        raise ValueError(f"gaussian range must satisfy 0 <= lo <= hi, got [{lo}, {hi})")
-    count = hi - lo
+        raise ValueError(f"word range must satisfy 0 <= lo <= hi, got [{lo}, {hi})")
     # Every operand is an explicit uint64: NumPy 1.x would turn uint64 mixed
     # with a Python int into float64.  Products wrap modulo 2^64 on purpose.
     with np.errstate(over="ignore"):
-        first = np.uint64((seed + (2 * lo + 1) * _PHI) & _MASK64)
-        z = first + np.arange(2 * count, dtype=np.uint64) * np.uint64(_PHI)
+        first = np.uint64((seed + (lo + 1) * _PHI) & _MASK64)
+        z = first + np.arange(hi - lo, dtype=np.uint64) * np.uint64(_PHI)
         z ^= z >> np.uint64(30)
         z *= np.uint64(0xBF58476D1CE4E5B9)
         z ^= z >> np.uint64(27)
         z *= np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
+    return z
+
+
+def gaussians(seed: int, lo: int, hi: int) -> np.ndarray:
+    """Draws ``lo .. hi-1`` as float64, equal bit for bit to ``gaussian``."""
+    count = hi - lo
+    z = words(seed, 2 * lo, 2 * hi)
     u = ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
     # np.log/np.cos may differ from libm in the last bit; map the math calls.
     log_u1 = np.fromiter(map(math.log, u[0::2].tolist()), np.float64, count)
     cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u[1::2]).tolist()), np.float64, count)
     return np.sqrt(-2.0 * log_u1) * cos_u2
-
-
-class BitStream:
-    """Sequential bit reader over the word stream of one seed.
-
-    Bits come from successive words, most-significant bit first.  Two
-    streams with the same seed always yield the same bit sequence.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._word_index = 0
-        self._bits_left = 0
-        self._current = 0
-
-    def next_bit(self) -> int:
-        if self._bits_left == 0:
-            self._current = word(self._seed, self._word_index)
-            self._word_index += 1
-            self._bits_left = 64
-        self._bits_left -= 1
-        return (self._current >> self._bits_left) & 1
-
-    def take(self, count: int) -> list[int]:
-        return [self.next_bit() for _ in range(count)]

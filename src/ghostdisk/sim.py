@@ -24,12 +24,11 @@ any slot's noise can be reproduced without replaying the slots before it.
 In one thread, a first pass gathers each bucket's pattern row and posed
 cell by index, per run of constant pose in blocks of at most ``BLOCK_SLOTS``
 slots; a second adds the noise over fixed blocks of ``BLOCK_SLOTS`` slots,
-and a third assembles the windows from one running accumulator.  A window
-delta of at least ``1 / PATTERN_DOMAIN_SHARE`` of a revolution sums its
-buckets per (row, cell, pattern) and goes through the ``n_cell x n_cell``
-pattern matrix once, as ``R^T @ dB``; a shorter one goes slot by slot.  Both
-are exact int64 sums of the same terms, so the switch changes only speed,
-never bytes.
+and a third assembles the windows from one running accumulator.  Each
+window's leaving and entering slots sum their buckets per (row, cell,
+pattern) into ``dB``, and only the cells they touched go through the
+``n_cell x n_cell`` pattern matrix, as ``acc += R^T @ dB``: a one-slot
+sliding step projects one or two cells, a whole window every cell.
 """
 
 from __future__ import annotations
@@ -74,11 +73,6 @@ NOISE_SIGMA_MAX = 5e17
 # Slots per block of bucket products, noise and accumulator updates; bounds
 # the per-block temporaries.
 BLOCK_SLOTS = 4096
-
-# Window deltas of at least 1/PATTERN_DOMAIN_SHARE of a revolution go
-# through the pattern matrix once, shorter ones slot by slot; both costs grow
-# with slots per revolution (crossovers measured at n = 35, 155).
-PATTERN_DOMAIN_SHARE = 16
 
 
 @dataclass(frozen=True)
@@ -272,13 +266,15 @@ def _check_frame_peak(
     reduced matrix).  Buckets are nonnegative, so the running accumulator
     never exceeds the product; like ``NOISE_SIGMA_MAX`` it is a worst case.
 
-    The same bound covers the pattern-domain window update ``R^T @ dB``.
-    A delta's slots all lie in one window (they leave the previous window
-    or enter the new one), and its ``dB`` holds one sign, as buckets are
-    >= 0.  So every partial sum of a pixel's projection has that sign and
-    is at most the delta's whole share of that pixel, within +-peak; each
-    ``dB`` entry is at most ``visits`` buckets, also within +-peak unless
-    every pattern is dark, when every product with it is 0.
+    The same bound covers the window update ``acc += R^T @ dB``.  A
+    frame's ``dB`` subtracts the slots leaving the previous window and adds
+    those entering the new one, so it mixes signs.  But every partial sum
+    of a pixel's projection is a partial sum over the entering slots minus
+    one over the leaving slots; as buckets are >= 0, each lies in
+    ``[0, peak]`` (the slots all sit in one window), so their difference
+    stays within +-peak.  Each ``dB`` entry is likewise a difference of two
+    sums of at most ``visits`` buckets, within +-peak unless every pattern
+    is dark, when every product with it is 0.
     """
     per_slot = int(patterns.patterns.sum(axis=1).max())
     per_pixel = int(patterns.patterns.sum(axis=0).max())
@@ -326,51 +322,57 @@ def _frames(
 
     per_rev = spec.slots_per_revolution
     acc = np.zeros((spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
-    sums = np.zeros_like(acc)  # dB: a delta's buckets per (row, cell, pattern)
+    sums = np.zeros_like(acc)  # dB: the pending buckets per (row, cell, pattern)
+    touched = np.zeros((spec.n, spec.k), dtype=bool)  # cells with a pending dB
+    chunk = max(1, BLOCK_SLOTS // spec.n_cell)
     matrix_t = np.ascontiguousarray(matrix.T)
     images = np.empty((count, spec.n, spec.n, 3), dtype=np.int64)
 
     def add(lo: int, hi: int, sign: int) -> None:
-        if (hi - lo) * PATTERN_DOMAIN_SHARE < per_rev:
-            for b_lo in range(lo, hi, BLOCK_SLOTS):
-                b_hi = min(b_lo + BLOCK_SLOTS, hi)
-                j = np.arange(b_lo, b_hi) % per_rev
-                bits = matrix[schedule.pattern_index[j]]
-                terms = bits[:, :, None] * (sign * buckets[b_lo:b_hi, None, :])
-                np.add.at(acc, (schedule.rows[j], schedule.cells[j]), terms)
-            return
         # Slot s plays schedule position s % per_rev, and no position repeats
         # within a revolution: sum whole revolutions per position, then add
         # each part by plain fancy +=, BLOCK_SLOTS positions at a time.
-        sums[...] = 0
         head = min(-(-lo // per_rev) * per_rev, hi)
         tail = max(hi // per_rev * per_rev, head)
         for s_lo, s_hi in ((lo, head), (head, tail), (tail, hi)):
+            if s_lo == s_hi:
+                continue
             revs = max(1, (s_hi - s_lo) // per_rev)
             span = (s_hi - s_lo) // revs
             part = buckets[s_lo:s_hi].reshape(revs, span, 3)
-            first = s_lo % per_rev
-            rows, cols, pats = (
-                a[first : first + span]
-                for a in (schedule.rows, schedule.cells, schedule.pattern_index)
-            )
+            j = slice(s_lo % per_rev, s_lo % per_rev + span)
+            rows, cols, pats = schedule.rows[j], schedule.cells[j], schedule.pattern_index[j]
             for p in range(0, span, BLOCK_SLOTS):
                 q = slice(p, p + BLOCK_SLOTS)
                 sums[rows[q], cols[q], pats[q]] += sign * part[:, q].sum(axis=0)
-        acc[...] += matrix_t @ sums
+                touched[rows[q], cols[q]] = True
 
+    def project() -> None:
+        # acc += R^T @ dB over the touched cells only, chunk cells at a time.
+        rows, cols = np.nonzero(touched)
+        for p in range(0, len(rows), chunk):
+            cells = rows[p : p + chunk], cols[p : p + chunk]
+            acc[cells] += matrix_t @ sums[cells]
+            sums[cells] = 0
+        touched[...] = False
+
+    # Window i holds slots [ceil(i * a / d), ceil((i * a + w) / d)): step and
+    # window in slots, over a common denominator d.
+    d = math.lcm((step / slot_dt).denominator, (window / slot_dt).denominator)
+    a, w = int(step / slot_dt * d), int(window / slot_dt * d)
     frames = []
     cur_lo = cur_hi = 0
     for i in range(count):
-        start = i * step
-        lo, hi = math.ceil(start / slot_dt), math.ceil((start + window) / slot_dt)
+        lo, hi = -(-i * a // d), -(-(i * a + w) // d)
         if lo >= cur_hi:
             acc[...] = 0
             cur_lo = cur_hi = lo
         add(cur_lo, lo, -1)
         add(cur_hi, hi, 1)
+        project()
         cur_lo, cur_hi = lo, hi
         images[i] = acc.reshape(spec.n, spec.n, 3)
+        start = i * step
         frames.append(ExposureFrame(start=start, end=start + window, image=images[i]))
     return images, tuple(frames)
 

@@ -79,7 +79,7 @@ def test_layout_without_outputs_exits_2(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--radius-mm", "--track-pitch-mm"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
 def test_layout_non_finite_geometry_exits_2(tmp_path, capsys, flag, value):
     svg = tmp_path / "disk.svg"
     csv = tmp_path / "disk.csv"
@@ -105,7 +105,8 @@ def test_layout_inner_track_through_centre_exits_2(tmp_path, capsys):
 
 
 # sha256 of each `patterns` output file (for --pgm-dir, of the sorted file
-# names and bytes), recorded while every Hadamard matrix was self-checked.
+# names and bytes), recorded while every Hadamard matrix was self-checked
+# and random bits were read one at a time from the scalar `rng.word`.
 RECORDED_PATTERNS = {
     ("--length", "7"): "cc2cb308e8b1c87f8768954d7ddbc66688d58fe0f64cf684a943bb7c66d962c1",
     ("--length", "31"): "83e4344d3ddeaa991cc21cb850c48d4bfef8ed0e5f70d882f29c6d5350bf732e",
@@ -115,6 +116,9 @@ RECORDED_PATTERNS = {
     ),
     ("--length", "7", "--random", "12", "--seed", "3"): (
         "1e854368f27a66c9a1921b17e44472030b8d08a7bc8bd76944cc5920cd9bbcf2"
+    ),
+    ("--length", "1023", "--random", "1023", "--seed", "7"): (
+        "287b39482d3497cb22066ccf5a7e16ee782d165e9376232f26f83fc8717a90cf"
     ),
 }
 

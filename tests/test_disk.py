@@ -145,6 +145,9 @@ def test_layout_rejects_bad_geometry():
             disk.disk_layout(schedule, patterns_for(3), radius_mm=bad)
         with pytest.raises(ValueError, match="finite and positive"):
             disk.disk_layout(schedule, patterns_for(3), track_pitch_mm=bad)
+    # Both finite, but the drawing size 2 * (radius + 2 * pitch) overflows.
+    with pytest.raises(ValueError, match=r"drawing size 2 \* \(radius \+ 2 \* pitch\)"):
+        disk.disk_layout(schedule, patterns_for(3), radius_mm=1e308)
     with pytest.raises(ValueError, match="does not match"):
         disk.disk_layout(schedule, patterns_for(7))
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ghostdisk import hadamard, pnm
+from ghostdisk import hadamard, pnm, rng
 
 # The reduced order-8 set, derived by hand from the Sylvester doubling
 # construction: map -1 -> 0, drop first row and column.
@@ -117,12 +119,32 @@ def test_random_pattern_set_is_seed_deterministic():
     assert set(np.unique(a)) <= {0, 1}
 
 
-def test_random_pattern_set_matches_bitstream():
-    from ghostdisk import rng
+def word_bits(seed, length, count):
+    """Bit ``i`` is bit ``63 - i % 64`` of scalar word ``i // 64``: the oracle."""
+    bits = [(rng.word(seed, i // 64) >> (63 - i % 64)) & 1 for i in range(length * count)]
+    return np.array(bits, dtype=np.int64).reshape(count, length)
 
-    flat = rng.BitStream(11).take(4 * 6)
-    expected = np.array(flat, dtype=np.int64).reshape(4, 6)
-    assert np.array_equal(hadamard.random_pattern_set(6, 4, seed=11), expected)
+
+def test_random_pattern_set_reads_words_msb_first():
+    got = hadamard.random_pattern_set(65, 1, seed=0)[0]
+    first = rng.word(0, 0)
+    assert got[:64].tolist() == [(first >> (63 - i)) & 1 for i in range(64)]
+    # The 65th bit starts the next word.
+    assert got[64] == rng.word(0, 1) >> 63
+
+
+@given(
+    st.integers(min_value=1, max_value=130),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=2**65),
+)
+@example(6, 4, 11)
+@example(63, 65, 2**64 + 5)
+@example(1023, 3, 7)
+def test_random_pattern_set_matches_word_oracle(length, count, seed):
+    got = hadamard.random_pattern_set(length, count, seed)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, word_bits(seed, length, count))
 
 
 def test_pattern_matrix_round_trip(tmp_path):

@@ -65,18 +65,14 @@ def test_gaussian_is_finite_and_centered():
     assert abs(var - 1.0) < 0.1
 
 
-def test_bitstream_msb_first():
-    first = rng.word(0, 0)
-    expected = [(first >> (63 - i)) & 1 for i in range(64)]
-    stream = rng.BitStream(0)
-    assert stream.take(64) == expected
-    # The 65th bit starts the next word.
-    assert stream.next_bit() == (rng.word(0, 1) >> 63) & 1
-
-
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=300))
-def test_bitstream_restart_reproduces(seed, count):
-    assert rng.BitStream(seed).take(count) == rng.BitStream(seed).take(count)
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**64 + 5])
+def test_words_match_scalar_word(seed):
+    got = rng.words(seed, 3, 300)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [rng.word(seed, i) for i in range(3, 300)]
+    assert rng.words(seed, 5, 5).shape == (0,)
+    with pytest.raises(ValueError):
+        rng.words(seed, 4, 3)
 
 
 def test_distinct_seeds_disagree():

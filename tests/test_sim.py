@@ -525,33 +525,33 @@ def assert_matches_dense_oracle(result, schedule, patterns, obj, traj, sigma, se
 @pytest.mark.parametrize("order_mode", disk.ORDER_MODES)
 @pytest.mark.parametrize("side", ["below", "at"])
 def test_pattern_domain_switch_matches_dense_oracle(side, order_mode, pattern_set, window_mode):
-    # Tumbling windows of exactly b slots, one slot below or at the switch,
-    # over pose runs of b slots; sliding windows mix one such delta with
-    # one-slot steps.
+    # Tumbling windows of exactly b slots over pose runs of b slots; sliding
+    # windows mix one such delta with one-slot steps.  "below" runs b = 1
+    # and per_rev // 16 - 1, "at" runs b = 2 and per_rev // 16 + 1: deltas
+    # that touch one, two or several cells, around 1/16 of a revolution.
     spec, patterns, schedule = make_setup(n=14, k=2, order_mode=order_mode)
     if pattern_set == "asymmetric":
         patterns = asymmetric_patterns(spec.n_cell, 3)
     per_rev = spec.slots_per_revolution
-    switch = -(-per_rev // sim.PATTERN_DOMAIN_SHARE)
-    assert switch >= 2
-    b = switch - 1 if side == "below" else switch
+    sizes = (1, per_rev // 16 - 1) if side == "below" else (2, per_rev // 16 + 1)
+    obj = random_scene(14, 21)
     period = Fraction(1)
     slot_dt = period / per_rev
-    slot_count = 12 * b  # crosses the first revolution edge
-    traj = scene.Trajectory(
-        mode="linear", velocity=(1 / (b * slot_dt), -1 / (2 * b * slot_dt)),
-        hold_interval=b * slot_dt,
-    )
-    runs = sim._offset_blocks(traj, slot_dt, slot_count)
-    assert [hi - lo for lo, hi, _ in runs] == [b] * 12
-    timing = sim.TimingConfig(
-        revolution_period=period, persistence_window=b * slot_dt,
-        window_mode=window_mode, total_duration=slot_count * slot_dt,
-    )
-    obj = random_scene(14, 21)
-    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=3.0, seed=8)
-    assert len(result.frames) == (12 if window_mode == "tumbling" else 11 * b + 1)
-    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 3.0, 8)
+    for b in sizes:
+        slot_count = 12 * b
+        traj = scene.Trajectory(
+            mode="linear", velocity=(1 / (b * slot_dt), -1 / (2 * b * slot_dt)),
+            hold_interval=b * slot_dt,
+        )
+        runs = sim._offset_blocks(traj, slot_dt, slot_count)
+        assert [hi - lo for lo, hi, _ in runs] == [b] * 12
+        timing = sim.TimingConfig(
+            revolution_period=period, persistence_window=b * slot_dt,
+            window_mode=window_mode, total_duration=slot_count * slot_dt,
+        )
+        result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=3.0, seed=8)
+        assert len(result.frames) == (12 if window_mode == "tumbling" else 11 * b + 1)
+        assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 3.0, 8)
 
 
 @pytest.mark.parametrize("pattern_set", ["reduced", "asymmetric"])
@@ -577,11 +577,27 @@ def test_windows_across_revolutions_match_dense_oracle(motion, order_mode, patte
     assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 9)
 
 
+def scatter_frames(schedule, matrix, buckets, frames, slot_dt):
+    """Each frame summed from zero slot by slot with ``np.add.at``: a referee
+    for the pattern-domain window sums that shares none of their steps."""
+    spec = schedule.spec
+    per_rev = spec.slots_per_revolution
+    out = np.zeros((len(frames), spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
+    for acc, frame in zip(out, frames):
+        lo, hi = math.ceil(frame.start / slot_dt), math.ceil(frame.end / slot_dt)
+        for b_lo in range(lo, hi, sim.BLOCK_SLOTS):
+            b_hi = min(b_lo + sim.BLOCK_SLOTS, hi)
+            j = np.arange(b_lo, b_hi) % per_rev
+            terms = matrix[schedule.pattern_index[j]][:, :, None] * buckets[b_lo:b_hi, None, :]
+            np.add.at(acc, (schedule.rows[j], schedule.cells[j]), terms)
+    return out.reshape(len(frames), spec.n, spec.n, 3)
+
+
 @pytest.mark.parametrize("order_mode", disk.ORDER_MODES)
-def test_pattern_domain_switch_changes_no_bytes_at_n155(monkeypatch, order_mode):
+def test_pattern_domain_switch_changes_no_bytes_at_n155(order_mode):
     # Windows of 7/3 revolutions of 24,025 slots sum whole revolutions in
-    # several BLOCK_SLOTS position blocks, over moving poses.  A share of 0
-    # sends every delta slot by slot.
+    # several BLOCK_SLOTS position blocks, over moving poses, and project
+    # every cell in several chunks.
     spec, patterns, schedule = make_setup(n=155, k=5, order_mode=order_mode)
     obj = scene.builtin_letter("J", 155, "white")
     traj = scene.Trajectory(mode="linear", velocity=(Fraction(7), Fraction(-3)))
@@ -589,12 +605,37 @@ def test_pattern_domain_switch_changes_no_bytes_at_n155(monkeypatch, order_mode)
         revolution_period=Fraction(1), persistence_window=Fraction(7, 3),
         total_duration=Fraction(5),
     )
-    projected = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=3)
-    monkeypatch.setattr(sim, "PATTERN_DOMAIN_SHARE", 0)
-    direct = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=3)
-    assert_traces_equal(projected.trace, direct.trace)
-    assert len(projected.images) == 2
-    assert np.array_equal(projected.images, direct.images)
+    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=3)
+    assert len(result.images) == 2
+    direct = scatter_frames(
+        schedule, patterns.patterns, result.trace.buckets, result.frames, result.trace.slot_dt
+    )
+    assert np.array_equal(result.images, direct)
+
+
+def test_sliding_steps_at_n155_trace_under_3_mib():
+    import tracemalloc
+
+    spec, patterns, schedule = make_setup(n=155, k=5)
+    obj = scene.builtin_letter("T", 155, "white")
+    slot_dt = Fraction(1, 155 * 155)
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=240 * slot_dt,
+        window_mode="sliding", total_duration=249 * slot_dt,
+    )
+    buckets = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing).trace.buckets
+    tracemalloc.start()
+    try:
+        images, frames = sim._frames(schedule, patterns.patterns, buckets, timing, slot_dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == 10
+    # Beyond its 5.5 MiB of frames, the pass holds the accumulator and the
+    # pending sums (0.55 MiB each) and one chunk of projected cells.
+    assert peak - images.nbytes <= 3 * 2**20
+    direct = scatter_frames(schedule, patterns.patterns, buckets, frames, slot_dt)
+    assert np.array_equal(images, direct)
 
 
 def test_simulate_validation():
