@@ -133,12 +133,16 @@ def test_random_pattern_set_reads_words_msb_first():
     assert got[64] == rng.word(0, 1) >> 63
 
 
+def test_random_pattern_set_matches_bitstream():
+    # Row-major reading of one MSB-first bit stream over the seed's words.
+    assert np.array_equal(hadamard.random_pattern_set(6, 4, seed=11), word_bits(11, 6, 4))
+
+
 @given(
     st.integers(min_value=1, max_value=130),
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=2**65),
 )
-@example(6, 4, 11)
 @example(63, 65, 2**64 + 5)
 @example(1023, 3, 7)
 def test_random_pattern_set_matches_word_oracle(length, count, seed):

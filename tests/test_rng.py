@@ -75,6 +75,14 @@ def test_words_match_scalar_word(seed):
         rng.words(seed, 4, 3)
 
 
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=1, max_value=300))
+def test_bitstream_restart_reproduces(seed, count):
+    # Restarting the word stream, from its start or midway, gives the same words.
+    whole = rng.words(seed, 0, count)
+    assert np.array_equal(whole, rng.words(seed, 0, count))
+    assert np.array_equal(whole[count // 2 :], rng.words(seed, count // 2, count))
+
+
 def test_distinct_seeds_disagree():
     a = [rng.word(0, i) for i in range(8)]
     b = [rng.word(1, i) for i in range(8)]
