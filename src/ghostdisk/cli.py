@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from pathlib import Path
 
@@ -45,6 +44,7 @@ from .hadamard import (
 from .metrics import frame_report, write_report_csv
 from .scene import sample_scene
 from .sim import (
+    BucketTrace,
     frame_texts,
     simulate,
     window_grid,
@@ -54,11 +54,6 @@ from .sim import (
 )
 
 __all__ = ["main"]
-
-# Frame values exported per block of frames (4 frames at n = 35, one frame
-# at n = 155): bounds the formatter's temporaries, which stay small enough
-# to be reused from block to block rather than mapped afresh.
-EXPORT_BLOCK_VALUES = 1 << 14
 
 
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
@@ -145,7 +140,27 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _gather_config(args)
     spec, patterns, schedule, scene, trajectory, timing = resolve_components(cfg)
-    result = simulate(
+    out = Path(cfg.out_dir)
+    stem = str(out / "frame_")
+    slot_dt = timing.slot_duration(spec.slots_per_revolution)
+    written = {"slots": 0, "frames": 0}
+
+    def write(slot_lo, buckets, frame_lo, images) -> None:
+        # simulate() makes its first call only once every up-front check has
+        # passed, so a refused run leaves no run directory behind.
+        if slot_lo == 0:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "manifest.txt").write_bytes(config_text(cfg).encode("ascii"))
+        if len(buckets):
+            write_bucket_csv(BucketTrace(buckets, slot_dt), out / "bucket.csv", slot_lo)
+        if len(images):
+            indices = range(frame_lo, frame_lo + len(images))
+            write_frame_ppm(images, [f"{stem}{i:04d}.ppm" for i in indices])
+            write_frame_txt(images, [f"{stem}{i:04d}.txt" for i in indices])
+        written["slots"] += len(buckets)
+        written["frames"] += len(images)
+
+    simulate(
         scene,
         trajectory,
         schedule,
@@ -153,23 +168,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         timing,
         noise_sigma=cfg.noise_sigma,
         seed=cfg.seed,
+        sink=write,
     )
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.txt").write_bytes(config_text(cfg).encode("ascii"))
-    write_bucket_csv(result.trace, out / "bucket.csv")
-    images = result.images
-    per_block = max(1, EXPORT_BLOCK_VALUES // math.prod(images.shape[1:]))
-    stem = str(out / "frame_")
-    for lo in range(0, len(images), per_block):
-        block = images[lo : lo + per_block]
-        indices = range(lo, lo + len(block))
-        write_frame_ppm(block, [f"{stem}{i:04d}.ppm" for i in indices])
-        write_frame_txt(block, [f"{stem}{i:04d}.txt" for i in indices])
-    print(
-        f"simulated {len(result.trace.buckets)} slots, "
-        f"wrote {len(result.frames)} frames to {out}"
-    )
+    print(f"simulated {written['slots']} slots, wrote {written['frames']} frames to {out}")
     return 0
 
 
@@ -189,23 +190,30 @@ def _cmd_report(args: argparse.Namespace) -> int:
         )
     stored_path = run_dir / f"frame_{args.frame:04d}.txt"
     stored = stored_path.read_bytes()
+    kept = []
+
+    def keep(slot_lo, buckets, frame_lo, images) -> None:
+        if frame_lo <= args.frame < frame_lo + len(images):
+            kept.append(images[args.frame - frame_lo].copy())
+
     # Noise is indexed by slot and motion is sampled per slot, so a run cut
     # at this frame's end reproduces it exactly, as its last frame.
-    end = args.frame * step + timing.persistence_window
-    result = simulate(
+    start = args.frame * step
+    simulate(
         scene,
         trajectory,
         schedule,
         patterns,
-        dataclasses.replace(timing, total_duration=end),
+        dataclasses.replace(timing, total_duration=start + timing.persistence_window),
         noise_sigma=cfg.noise_sigma,
         seed=cfg.seed,
+        sink=keep,
     )
-    frame = result.frames[args.frame]
-    if frame_texts(result.images[args.frame : args.frame + 1]) != [stored]:
+    (image,) = kept
+    if frame_texts(image[None]) != [stored]:
         raise RuntimeError(f"{stored_path} does not match the re-simulated frame {args.frame}")
-    seen = sample_scene(scene, trajectory, frame.start)
-    rows = frame_report(frame.image, seen.pixels, spec)
+    seen = sample_scene(scene, trajectory, start)
+    rows = frame_report(image, seen.pixels, spec)
     out = Path(args.out) if args.out else run_dir / "report.csv"
     write_report_csv(rows, out)
     print(f"wrote {len(rows)} contrast rows to {out}")

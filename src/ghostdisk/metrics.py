@@ -227,31 +227,44 @@ def frame_report(
     lit pixels share one level gets the binary prediction, a cell with
     mixed nonzero levels gets none.
     """
-    rows: list[ReportRow] = []
+    n, k, n_cell = spec.n, spec.k, spec.n_cell
     scene = np.asarray(scene_pixels, dtype=np.int64)
-    for row in range(spec.n):
-        for cell in range(spec.k):
-            r, cols = cell_slice(spec, row, cell)
-            for channel, channel_name in enumerate(CHANNEL_NAMES):
-                cell_scene = scene[r, cols, channel]
-                lit = cell_scene[cell_scene > 0]
-                n_obj = int(lit.size)
-                if n_obj == 0:
-                    predicted: Fraction | None = Fraction(0)
-                elif np.all(lit == lit[0]):
-                    predicted = predicted_contrast_reduced(spec.n_cell, n_obj)
-                else:
-                    predicted = None
-                measured = cell_report_contrast(image, spec, row, cell, channel, n_obj)
-                rows.append(
-                    ReportRow(
-                        region=f"r{row}c{cell}",
-                        channel=channel_name,
-                        n_obj=n_obj,
-                        predicted=predicted,
-                        measured=measured,
-                    )
-                )
+    cells = scene.reshape(n, k, n_cell, 3)
+    lit = cells > 0
+    # Per (row, cell, channel): lit pixel count, whether they share one
+    # level, and the frame's in-cell extrema.
+    n_obj = lit.sum(axis=2)
+    one_level = cells.max(axis=2) == np.where(lit, cells, np.iinfo(np.int64).max).min(axis=2)
+    values = np.asarray(image).reshape(n, k, n_cell, 3)
+    hi, lo = values.max(axis=2), values.min(axis=2)
+    if np.any((lo < 0) & (n_obj > 0) & (n_obj < n_cell)):
+        raise ValueError("contrast is defined for nonnegative values")
+    predicted = {m: predicted_contrast_reduced(n_cell, m) for m in set(n_obj[one_level].tolist())}
+    predicted[0] = Fraction(0)
+    full = predicted_contrast_cell(n_cell) if np.any((n_obj == n_cell) & (hi != 0)) else None
+
+    rows: list[ReportRow] = []
+    for (row, cell, channel), count, same, top, bottom in zip(
+        np.ndindex(n, k, 3), *(a.ravel().tolist() for a in (n_obj, one_level, hi, lo))
+    ):
+        # As cell_report_contrast: raw extrema for a partly lit cell, the
+        # model value for a fully lit one, 0 when empty or dark (a partly lit
+        # cell with a negative value was refused above).
+        if count == 0 or top == 0:
+            measured = Fraction(0)
+        elif count == n_cell:
+            measured = full
+        else:
+            measured = Fraction(top - bottom, top + bottom)
+        rows.append(
+            ReportRow(
+                region=f"r{row}c{cell}",
+                channel=CHANNEL_NAMES[channel],
+                n_obj=count,
+                predicted=predicted[count] if count == 0 or same else None,
+                measured=measured,
+            )
+        )
     for channel, channel_name in enumerate(CHANNEL_NAMES):
         channel_scene = scene[:, :, channel]
         rows.append(

@@ -21,23 +21,30 @@ depends on floating-point rounding.
 Detector noise, when enabled, perturbs each bucket value with a Gaussian
 read from the counter-based generator at index ``3 * slot + channel``, so
 any slot's noise can be reproduced without replaying the slots before it.
-In one thread, a first pass gathers each bucket's pattern row and posed
-cell by index, per run of constant pose in blocks of at most ``BLOCK_SLOTS``
-slots; a second adds the noise over fixed blocks of ``BLOCK_SLOTS`` slots,
-and a third assembles the windows from one running accumulator.  Each
-window's leaving and entering slots sum their buckets per (row, cell,
-pattern) into ``dB``, and only the cells they touched go through the
-``n_cell x n_cell`` pattern matrix, as ``acc += R^T @ dB``: a one-slot
-sliding step projects one or two cells, a whole window every cell.
+
+A run is one walk, in one thread, over blocks of ``BLOCK_SLOTS`` slots.
+Each block gathers its buckets' pattern rows and posed cells by index, per
+run of constant pose, adds its noise, and folds its buckets into one
+running accumulator; the frames whose window ends inside the block then
+close.  Each window's leaving and entering slots sum their buckets per
+(row, cell, pattern) into ``dB``, and only the cells they touched go
+through the ``n_cell x n_cell`` pattern matrix, as ``acc += R^T @ dB``: a
+one-slot sliding step projects one or two cells, a whole window every
+cell.  Sliding windows take their leaving slots from the last
+``window_slots`` buckets, which one buffer carries from block to block;
+tumbling windows never need a slot of an earlier block.
+``simulate`` hands each block's bucket rows and closed frames to a sink as
+it goes, or collects them into one ``SimulationResult``; streamed, a run
+holds O(``BLOCK_SLOTS`` + window + n^2) values, whatever its length.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -73,6 +80,15 @@ NOISE_SIGMA_MAX = 5e17
 # Slots per block of bucket products, noise and accumulator updates; bounds
 # the per-block temporaries.
 BLOCK_SLOTS = 4096
+
+# Frame values handed to a sink per call (4 frames at n = 35, one frame at
+# n = 155): bounds the frames held at once and the exporters' temporaries,
+# which stay small enough to be reused from call to call rather than
+# mapped afresh.
+FRAME_BLOCK_VALUES = 1 << 14
+
+# sink(slot_lo, buckets, frame_lo, images): see simulate().
+Sink = Callable[[int, np.ndarray, int, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -195,13 +211,25 @@ def simulate(
     timing: TimingConfig,
     noise_sigma: float = 0.0,
     seed: int = 0,
+    sink: Sink | None = None,
 ) -> SimulationResult:
     """Run the clocked measurement and assemble exposure frames.
 
-    Returns the emitted frames (ordered by window start) and the full
-    bucket trace over the simulated duration.  Raises ``ValueError`` up
-    front when a frame could overflow int64 (see ``_check_frame_peak``) or
-    the ``(F, n, n, 3)`` int64 frame array has more bytes than numpy can index.
+    Without ``sink``, returns the emitted frames (ordered by window start)
+    and the full bucket trace over the simulated duration.  With one, the
+    run goes to ``sink(slot_lo, buckets, frame_lo, images)`` as it is
+    computed: ``buckets`` holds the rows of slots ``slot_lo, slot_lo + 1,
+    ...`` and ``images`` the ``(B, n, n, 3)`` int64 frames ``frame_lo,
+    frame_lo + 1, ...``.  Successive calls continue both where the last one
+    stopped; the first call of each ``BLOCK_SLOTS`` block carries its rows,
+    and each call at most ``FRAME_BLOCK_VALUES`` frame values (at least one
+    frame).  Both arrays are reused once the call returns, so a sink copies
+    what it keeps.  The result then holds no frames and an empty trace.
+
+    Raises ``ValueError`` up front, before any slot is simulated, when a
+    frame could overflow int64 (see ``_check_frame_peak``) or the
+    ``(F, n, n, 3)`` int64 array of every frame has more bytes than numpy
+    can index.
     """
     spec = schedule.spec
     check_pattern_length(spec, patterns)
@@ -214,7 +242,7 @@ def simulate(
     slot_dt = timing.slot_duration(per_rev)
     slot_count = math.ceil(timing.total_duration / slot_dt)
     window_slots = min(math.ceil(timing.persistence_window / slot_dt), slot_count)
-    frame_count = window_grid(timing, slot_dt)[1]
+    step, frame_count = window_grid(timing, slot_dt)
     if frame_count * per_rev * 3 * 8 > np.iinfo(np.intp).max:
         shown = frame_count if frame_count < 10**18 else "over 10**18"
         raise ValueError(
@@ -223,32 +251,79 @@ def simulate(
         )
     _check_frame_peak(patterns, per_rev, window_slots, noise_sigma)
 
-    base = scene.pixels.astype(np.int64)
-    poses: dict[tuple[int, int], np.ndarray] = {(0, 0): base}
-    buckets = np.zeros((slot_count, 3), dtype=np.int64)
-    for lo, hi, offset in _offset_blocks(trajectory, slot_dt, slot_count):
-        if offset not in poses:
-            poses[offset] = translate_image(base, offset[0], offset[1])
-        cells = poses[offset].reshape(spec.n, spec.k, spec.n_cell, 3)
-        for b_lo in range(lo, hi, BLOCK_SLOTS):
-            b_hi = min(b_lo + BLOCK_SLOTS, hi)
-            j = np.arange(b_lo, b_hi) % per_rev
-            lit = cells[schedule.rows[j], schedule.cells[j]]
-            bits = patterns.patterns[schedule.pattern_index[j]]
-            buckets[b_lo:b_hi] = np.einsum("sj,sjc->sc", bits, lit)
+    blocks = _bucket_blocks(scene, trajectory, schedule, patterns, slot_dt, slot_count,
+                            float(noise_sigma), seed)
+    parts = _windows(schedule, patterns.patterns, timing, blocks)
+    if sink is not None:
+        for part in parts:
+            sink(*part)
+        return SimulationResult(
+            frames=(),
+            images=np.empty((0, spec.n, spec.n, 3), dtype=np.int64),
+            trace=BucketTrace(buckets=np.empty((0, 3), dtype=np.int64), slot_dt=slot_dt),
+        )
 
-    sigma = float(noise_sigma)
-    if sigma > 0:
-        for lo in range(0, slot_count, BLOCK_SLOTS):
-            hi = min(lo + BLOCK_SLOTS, slot_count)
-            z = rng.gaussians(seed, 3 * lo, 3 * hi).reshape(-1, 3)
-            noise = np.floor(sigma * z + 0.5).astype(np.int64)
-            buckets[lo:hi] = np.maximum(buckets[lo:hi] + noise, 0)
-
-    images, frames = _frames(schedule, patterns.patterns, buckets, timing, slot_dt)
+    buckets = np.empty((slot_count, 3), dtype=np.int64)
+    images = np.empty((frame_count, spec.n, spec.n, 3), dtype=np.int64)
+    for slot_lo, rows, frame_lo, block in parts:
+        buckets[slot_lo : slot_lo + len(rows)] = rows
+        images[frame_lo : frame_lo + len(block)] = block
+    window = timing.persistence_window
+    frames = tuple(
+        ExposureFrame(start=i * step, end=i * step + window, image=image)
+        for i, image in enumerate(images)
+    )
     return SimulationResult(
         frames=frames, images=images, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt)
     )
+
+
+def _bucket_blocks(
+    scene: SceneObject,
+    trajectory: Trajectory,
+    schedule: ScanSchedule,
+    patterns: ReducedPatternSet,
+    slot_dt: Fraction,
+    slot_count: int,
+    sigma: float,
+    seed: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``(b_lo, buckets)`` for each block of ``BLOCK_SLOTS`` slots, in order.
+
+    Each pose run the block overlaps gathers its slots' pattern rows and
+    posed cells by index and takes their products; then the block draws
+    its noise at once, Gaussian index ``3 * slot + channel``.  Only the
+    current pose is kept: a linear trajectory never returns to one it left.
+    """
+    spec = schedule.spec
+    per_rev = spec.slots_per_revolution
+    base = scene.pixels.astype(np.int64)
+    runs = iter(_offset_blocks(trajectory, slot_dt, slot_count))
+    hi = 0
+    # Every temporary dies before the yield: a suspended walk holds none.
+    for b_lo in range(0, slot_count, BLOCK_SLOTS):
+        b_hi = min(b_lo + BLOCK_SLOTS, slot_count)
+        buckets = np.empty((b_hi - b_lo, 3), dtype=np.int64)
+        s = b_lo
+        while s < b_hi:
+            if s == hi:
+                _, hi, offset = next(runs)
+                pose = base if offset == (0, 0) else translate_image(base, *offset)
+                cells = pose.reshape(spec.n, spec.k, spec.n_cell, 3)
+            e = min(hi, b_hi)
+            j = np.arange(s, e) % per_rev
+            buckets[s - b_lo : e - b_lo] = np.einsum(
+                "sj,sjc->sc",
+                patterns.patterns[schedule.pattern_index[j]],
+                cells[schedule.rows[j], schedule.cells[j]],
+            )
+            s = e
+        if sigma > 0:
+            z = rng.gaussians(seed, 3 * b_lo, 3 * b_hi).reshape(-1, 3)
+            buckets += np.floor(sigma * z + 0.5).astype(np.int64)
+            np.maximum(buckets, 0, out=buckets)
+            del z
+        yield b_lo, buckets
 
 
 def _check_frame_peak(
@@ -300,33 +375,47 @@ def window_grid(timing: TimingConfig, slot_dt: Fraction) -> tuple[Fraction, int]
     return slot_dt, max(0, (duration - window) // slot_dt + 1)
 
 
-def _frames(
+def _windows(
     schedule: ScanSchedule,
     matrix: np.ndarray,  # (n_cell, n_cell) 0/1 patterns
-    buckets: np.ndarray,
     timing: TimingConfig,
-    slot_dt: Fraction,
-) -> tuple[np.ndarray, tuple[ExposureFrame, ...]]:
+    blocks: Iterable[tuple[int, np.ndarray]],
+) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     """Exposure frames of either window mode, from one running accumulator.
+
+    ``blocks`` yields ``(b_lo, buckets)`` for consecutive blocks of
+    ``BLOCK_SLOTS`` slots (the last one may be shorter), and each block is
+    passed on as the ``(slot_lo, buckets, frame_lo, images)`` calls that
+    ``simulate`` documents, with the frames whose window ends inside it.
 
     Each window becomes the slot range [lo, hi) of the slots starting
     inside it.  Window ends never pass the duration, so hi <= slot count,
     and both bounds only grow from one window to the next: the accumulator
-    adds the slots that enter and subtracts those that leave, and starts
-    over from zero when a window shares no slot with the one before.
-    Returns the ``(count, n, n, 3)`` image array and the frames viewing it.
+    adds the slots that enter, as their blocks arrive, and subtracts those
+    that leave, and starts over from zero when a window shares no slot with
+    the one before.  A leaving slot is at most ``window_slots`` before the
+    block that drops it, so sliding windows keep that many buckets from
+    earlier blocks; tumbling windows never share a slot and keep none.
     """
     spec = schedule.spec
-    window = timing.persistence_window
-    step, count = window_grid(timing, slot_dt)
-
     per_rev = spec.slots_per_revolution
+    window = timing.persistence_window
+    slot_dt = timing.slot_duration(per_rev)
+    step, count = window_grid(timing, slot_dt)
     acc = np.zeros((spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
     sums = np.zeros_like(acc)  # dB: the pending buckets per (row, cell, pattern)
     touched = np.zeros((spec.n, spec.k), dtype=bool)  # cells with a pending dB
     chunk = max(1, BLOCK_SLOTS // spec.n_cell)
     matrix_t = np.ascontiguousarray(matrix.T)
-    images = np.empty((count, spec.n, spec.n, 3), dtype=np.int64)
+    batch = np.empty((max(1, FRAME_BLOCK_VALUES // (3 * per_rev)), spec.n, spec.n, 3), np.int64)
+    keep = 0
+    if timing.window_mode == "sliding" and count:
+        slot_count = math.ceil(timing.total_duration / slot_dt)
+        keep = min(math.ceil(window / slot_dt), slot_count)
+    # Slot s sits in history[s - first], for the current block and the `keep`
+    # slots before it; each block shifts the last `keep` rows to the front.
+    history = np.zeros((keep + BLOCK_SLOTS, 3), dtype=np.int64)
+    first = 0
 
     def add(lo: int, hi: int, sign: int) -> None:
         # Slot s plays schedule position s % per_rev, and no position repeats
@@ -335,11 +424,11 @@ def _frames(
         head = min(-(-lo // per_rev) * per_rev, hi)
         tail = max(hi // per_rev * per_rev, head)
         for s_lo, s_hi in ((lo, head), (head, tail), (tail, hi)):
-            if s_lo == s_hi:
+            if s_lo >= s_hi:
                 continue
             revs = max(1, (s_hi - s_lo) // per_rev)
             span = (s_hi - s_lo) // revs
-            part = buckets[s_lo:s_hi].reshape(revs, span, 3)
+            part = history[s_lo - first : s_hi - first].reshape(revs, span, 3)
             j = slice(s_lo % per_rev, s_lo % per_rev + span)
             rows, cols, pats = schedule.rows[j], schedule.cells[j], schedule.pattern_index[j]
             for p in range(0, span, BLOCK_SLOTS):
@@ -360,21 +449,31 @@ def _frames(
     # window in slots, over a common denominator d.
     d = math.lcm((step / slot_dt).denominator, (window / slot_dt).denominator)
     a, w = int(step / slot_dt * d), int(window / slot_dt * d)
-    frames = []
-    cur_lo = cur_hi = 0
-    for i in range(count):
-        lo, hi = -(-i * a // d), -(-(i * a + w) // d)
-        if lo >= cur_hi:
-            acc[...] = 0
-            cur_lo = cur_hi = lo
-        add(cur_lo, lo, -1)
-        add(cur_hi, hi, 1)
-        project()
-        cur_lo, cur_hi = lo, hi
-        images[i] = acc.reshape(spec.n, spec.n, 3)
-        start = i * step
-        frames.append(ExposureFrame(start=start, end=start + window, image=images[i]))
-    return images, tuple(frames)
+    i = cur_lo = cur_hi = 0
+    for b_lo, buckets in blocks:
+        b_hi = b_lo + len(buckets)
+        history[:keep] = history[BLOCK_SLOTS:]
+        history[keep : keep + len(buckets)] = buckets
+        first = b_lo - keep
+        slot_lo, done = b_lo, 0
+        while i < count:
+            lo, hi = -(-i * a // d), -(-(i * a + w) // d)
+            if lo >= cur_hi:
+                acc[...] = 0
+                cur_lo = cur_hi = lo
+            add(cur_lo, lo, -1)
+            add(cur_hi, min(hi, b_hi), 1)
+            cur_lo, cur_hi = lo, max(cur_hi, min(hi, b_hi))
+            if hi > b_hi:
+                break
+            project()
+            batch[done] = acc.reshape(spec.n, spec.n, 3)
+            i, done = i + 1, done + 1
+            if done == len(batch):
+                yield slot_lo, buckets[slot_lo - b_lo :], i - done, batch
+                slot_lo, done = b_hi, 0
+        if slot_lo < b_hi or done:
+            yield slot_lo, buckets[slot_lo - b_lo :], i - done, batch[:done]
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +604,20 @@ def write_frame_txt(images: np.ndarray, paths) -> None:
             fh.write(data)
 
 
-def write_bucket_csv(trace: BucketTrace, path) -> None:
+def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
     """Write ``t,slot,red,green,blue`` rows, times as decimal seconds.
 
+    Row ``i`` of ``trace.buckets`` is slot ``first_slot + i``.  From slot 0
+    the file is created with its header; a later first slot appends to it,
+    so a run written block by block gives the same bytes as a whole trace.
     ``s * num / den`` divides Python ints with correct rounding, so each
     time equals ``float(s * slot_dt)``.
     """
     num, den = trace.slot_dt.numerator, trace.slot_dt.denominator
-    lines = ["t,slot,red,green,blue"]
-    lines += (
-        f"{s * num / den!r},{s},{r},{g},{b}" for s, (r, g, b) in enumerate(trace.buckets.tolist())
+    header = "" if first_slot else "t,slot,red,green,blue\n"
+    rows = "".join(
+        f"{s * num / den!r},{s},{r},{g},{b}\n"
+        for s, (r, g, b) in enumerate(trace.buckets.tolist(), first_slot)
     )
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    with open(path, "ab" if first_slot else "wb") as fh:
+        fh.write((header + rows).encode("ascii"))

@@ -346,6 +346,112 @@ def test_simulate_unindexable_frame_count_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+STREAM_CASES = {
+    # 4,116-slot windows: longer than one BLOCK_SLOTS block.
+    "sliding_window_past_block": [
+        "--n", "14", "--k", "2", "--revolution-period", "1", "--window-mode", "sliding",
+        "--persistence-time", "21", "--total-duration", "22", "--trajectory", "linear",
+        "--velocity-x", "1/2", "--velocity-y=-1/3", "--noise-sigma", "2", "--seed", "5",
+    ],
+    "pose_runs_across_blocks": [
+        "--n", "14", "--k", "2", "--revolution-period", "1", "--persistence-time", "5",
+        "--total-duration", "60", "--trajectory", "linear", "--velocity-x", "1/9",
+        "--velocity-y", "1/13",
+    ],
+    "hold_interval": [
+        "--n", "14", "--k", "2", "--revolution-period", "1", "--window-mode", "sliding",
+        "--persistence-time", "1/4", "--total-duration", "3", "--trajectory", "linear",
+        "--velocity-x", "5", "--velocity-y", "-3", "--hold-interval", "1/7",
+        "--noise-sigma", "3", "--seed", "2",
+    ],
+    # Windows of about half a slot: most hold no slot start.
+    "tumbling_empty_windows": [
+        "--n", "7", "--k", "1", "--revolution-period", "1", "--persistence-time", "1/100",
+        "--total-duration", "3", "--noise-sigma", "1",
+    ],
+    "sliding_window_under_one_slot": [
+        "--n", "7", "--k", "1", "--revolution-period", "1", "--window-mode", "sliding",
+        "--persistence-time", "1/100", "--total-duration", "2", "--noise-sigma", "1",
+    ],
+    "part_major": [
+        "--n", "14", "--k", "2", "--order-mode", "part_major", "--revolution-period", "1",
+        "--window-mode", "sliding", "--persistence-time", "7/3", "--total-duration", "3",
+        "--trajectory", "linear", "--velocity-x", "2", "--velocity-y", "1/3",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_run_equals_collected_result(tmp_path, case):
+    streamed = tmp_path / "streamed"
+    assert main(["simulate", *STREAM_CASES[case], "--out", str(streamed)]) == 0
+    cfg = config.merge_config(config.load_config_file(streamed / "manifest.txt"))
+    spec, patterns, schedule, obj, traj, timing = config.resolve_components(cfg)
+    result = sim.simulate(
+        obj, traj, schedule, patterns, timing, noise_sigma=cfg.noise_sigma, seed=cfg.seed
+    )
+    if case == "pose_runs_across_blocks":
+        runs = sim._offset_blocks(traj, result.trace.slot_dt, len(result.trace.buckets))
+        assert sum(lo < edge < hi for lo, hi, _ in runs for edge in (4096, 8192)) == 2
+    collected = tmp_path / "collected"
+    collected.mkdir()
+    sim.write_bucket_csv(result.trace, collected / "bucket.csv")
+    stems = [str(collected / f"frame_{i:04d}") for i in range(len(result.images))]
+    sim.write_frame_ppm(result.images, [f"{stem}.ppm" for stem in stems])
+    sim.write_frame_txt(result.images, [f"{stem}.txt" for stem in stems])
+    assert len(result.images) > 1
+    assert read_tree(streamed, skip={"manifest.txt"}) == read_tree(collected)
+
+
+def sliding_run(out, revolutions):
+    return main([
+        "simulate", "--n", "14", "--k", "2", "--revolution-period", "1",
+        "--window-mode", "sliding", "--persistence-time", "1/2",
+        "--total-duration", str(revolutions), "--trajectory", "linear",
+        "--velocity-x", "3", "--velocity-y", "-2", "--noise-sigma", "1", "--out", str(out),
+    ])
+
+
+def traced_peak(run) -> int:
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert run() == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_sliding_run(tmp_path_factory):
+    """A 10-revolution sliding run at n = 14: 1,863 frames of 4,704 bytes."""
+    out = tmp_path_factory.mktemp("long") / "run"
+    peak = traced_peak(lambda: sliding_run(out, 10))
+    return out, peak
+
+
+def test_streamed_sliding_peak_does_not_grow_with_frames(tmp_path, long_sliding_run):
+    out, long_peak = long_sliding_run
+    assert len(list(out.glob("frame_*.txt"))) == 1863
+    assert sliding_run(tmp_path / "warm", 1) == 0  # first-call caches
+    short_peak = traced_peak(lambda: sliding_run(tmp_path / "short", 1))
+    # Collected, the 1,764 more frames alone would take 8.3 MiB; what may
+    # grow is the block temporaries, from 196 slots to 1,960.
+    assert long_peak - short_peak <= 2**20
+
+
+def test_report_of_last_frame_traces_like_frame_0(tmp_path, long_sliding_run):
+    out, _ = long_sliding_run
+    report = ["report", "--run-dir", str(out), "--out", str(tmp_path / "report.csv")]
+    assert main([*report, "--frame", "0"]) == 0  # first-call caches
+    first = traced_peak(lambda: main([*report, "--frame", "0"]))
+    last = traced_peak(lambda: main([*report, "--frame", "1862"]))
+    # Frames 0 to 1862 together take 8.4 MiB; what may grow is the block
+    # temporaries, from the 98 slots of frame 0 to 1,960.
+    assert last - first <= 2**20
+
+
 def test_report_missing_run_dir_exits_2(tmp_path):
     assert main(["report", "--run-dir", str(tmp_path / "nope")]) == 2
 

@@ -273,6 +273,59 @@ def test_frame_report_gray_cells_have_no_prediction():
     assert row.n_obj == 2
 
 
+def report_rows_oracle(image, pixels, spec):
+    """``frame_report`` as a plain loop over ``cell_report_contrast``."""
+    rows = []
+    values = np.asarray(pixels, dtype=np.int64)
+    for row in range(spec.n):
+        for cell in range(spec.k):
+            r, cols = metrics.cell_slice(spec, row, cell)
+            for channel, name in enumerate(scene.CHANNEL_NAMES):
+                lit = values[r, cols, channel][values[r, cols, channel] > 0]
+                if lit.size == 0:
+                    predicted = Fraction(0)
+                elif np.all(lit == lit[0]):
+                    predicted = metrics.predicted_contrast_reduced(spec.n_cell, lit.size)
+                else:
+                    predicted = None
+                measured = metrics.cell_report_contrast(image, spec, row, cell, channel, lit.size)
+                rows.append(metrics.ReportRow(f"r{row}c{cell}", name, lit.size, predicted, measured))
+    for channel, name in enumerate(scene.CHANNEL_NAMES):
+        rows.append(metrics.ReportRow(
+            "full", name, int(np.count_nonzero(values[:, :, channel])), None,
+            metrics.measured_contrast(image[:, :, channel]),
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("frame_kind", ["correlation", "random"])
+def test_frame_report_matches_per_cell_loop(frame_kind):
+    spec, patterns, schedule = make_setup(n=14, k=2)
+    gen = np.random.default_rng(4)
+    pixels = np.zeros((14, 14, 3), dtype=np.uint8)
+    pixels[1, :7] = 90  # fully lit, one level
+    pixels[2, 7:] = gen.integers(1, 256, size=(7, 3))  # fully lit, mixed levels
+    pixels[3, [0, 2, 5]] = 40  # partly lit, one level
+    pixels[4, 8:11] = [[10, 0, 30], [20, 0, 30], [10, 5, 30]]  # partly lit, mixed
+    pixels[5:] = gen.integers(0, 3, size=(9, 14, 3)) * 70  # a mix of all of them
+    if frame_kind == "correlation":
+        frame = one_revolution_frame(spec, patterns, schedule, pixels)
+    else:
+        frame = gen.integers(0, 1000, size=(14, 14, 3))
+        frame[6, :7] = 0  # dark cells: partly lit and fully lit ones
+        frame[1, :7, 1] = 0
+        frame[3, :7] = 17  # flat cells
+    rows = metrics.frame_report(frame, pixels, spec)
+    assert rows == report_rows_oracle(frame, pixels, spec)
+    kinds = {(r.n_obj == 0, r.n_obj == spec.n_cell, r.predicted is None) for r in rows[:-3]}
+    assert kinds == {(True, False, False), (False, True, False), (False, True, True),
+                     (False, False, False), (False, False, True)}
+    frame[4, 8, 0] = -1  # inside a partly lit cell
+    for report in (metrics.frame_report, report_rows_oracle):
+        with pytest.raises(ValueError, match="nonnegative"):
+            report(frame, pixels, spec)
+
+
 def test_report_csv_format(tmp_path):
     rows = [
         metrics.ReportRow("r0c0", "red", 2, Fraction(1, 3), Fraction(1, 3)),

@@ -468,6 +468,19 @@ def test_one_revolution_at_n155_traces_little_beyond_its_result():
     assert peak - own <= 14 * 2**20
 
 
+def window_pass(schedule, matrix, timing, buckets):
+    """The frames of ``sim._windows`` fed a finished trace in blocks."""
+    n = schedule.spec.n
+    slot_dt = timing.slot_duration(n * n)
+    out = np.empty((sim.window_grid(timing, slot_dt)[1], n, n, 3), dtype=np.int64)
+    blocks = [
+        (lo, buckets[lo : lo + sim.BLOCK_SLOTS]) for lo in range(0, len(buckets), sim.BLOCK_SLOTS)
+    ]
+    for _, _, frame_lo, images in sim._windows(schedule, matrix, timing, blocks):
+        out[frame_lo : frame_lo + len(images)] = images
+    return out
+
+
 def test_window_pass_at_n155_traces_under_3_mib():
     import tracemalloc
 
@@ -477,9 +490,7 @@ def test_window_pass_at_n155_traces_under_3_mib():
     buckets = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing).trace.buckets
     tracemalloc.start()
     try:
-        images, _ = sim._frames(
-            schedule, patterns.patterns, buckets, timing, timing.slot_duration(155 * 155)
-        )
+        images = window_pass(schedule, patterns.patterns, timing, buckets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -487,6 +498,37 @@ def test_window_pass_at_n155_traces_under_3_mib():
     # int64 terms alone would take 3 MiB.
     assert images.nbytes == 155 * 155 * 3 * 8
     assert peak <= 3 * 2**20
+
+
+def test_twenty_times_longer_static_run_grows_peak_by_at_most_the_ring():
+    import tracemalloc
+
+    spec, patterns, schedule = make_setup(n=14, k=2)
+    obj = scene.builtin_letter("T", 14, "white")
+
+    def streamed_peak(revolutions):
+        timing = sim.TimingConfig(
+            revolution_period=Fraction(1), persistence_window=Fraction(21),
+            total_duration=Fraction(revolutions),
+        )
+        tracemalloc.start()
+        try:
+            result = sim.simulate(
+                obj, scene.Trajectory(), schedule, patterns, timing, sink=lambda *part: None
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.frames) == len(result.trace.buckets) == 0
+        return peak
+
+    streamed_peak(1)  # first-call caches
+    # Both runs pass from one full BLOCK_SLOTS block to the next: 8,232
+    # slots and 164,640.
+    short, long = streamed_peak(42), streamed_peak(840)
+    # 156,408 more slots would hold 3.6 MiB at 24 B/slot; the bound allows
+    # a ring of one window (4,116 buckets) and one block, 0.19 MiB.
+    assert long - short <= (21 * 196 + sim.BLOCK_SLOTS) * 24
 
 
 def asymmetric_patterns(length, seed):
@@ -577,6 +619,24 @@ def test_windows_across_revolutions_match_dense_oracle(motion, order_mode, patte
     assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 9)
 
 
+@pytest.mark.parametrize("window_revs", [Fraction(1, 2), Fraction(21)])
+def test_sliding_windows_across_blocks_match_dense_oracle(window_revs):
+    # 4,312 slots in two BLOCK_SLOTS blocks, with windows of 98 slots and
+    # of 4,116 (longer than a block): frames close on both sides of the
+    # block edge, and their leaving slots come from the block before.
+    spec, patterns, schedule = make_setup(n=14, k=2, order_mode="part_major")
+    traj = scene.Trajectory(mode="linear", velocity=(Fraction(1, 3), Fraction(-1, 4)))
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=window_revs,
+        window_mode="sliding", total_duration=Fraction(22),
+    )
+    obj = random_scene(14, 23)
+    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=10)
+    assert len(result.trace.buckets) == 22 * 196 > sim.BLOCK_SLOTS
+    assert len(result.frames) == 22 * 196 - window_revs * 196 + 1
+    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 10)
+
+
 def scatter_frames(schedule, matrix, buckets, frames, slot_dt):
     """Each frame summed from zero slot by slot with ``np.add.at``: a referee
     for the pattern-domain window sums that shares none of their steps."""
@@ -623,18 +683,20 @@ def test_sliding_steps_at_n155_trace_under_3_mib():
         revolution_period=Fraction(1), persistence_window=240 * slot_dt,
         window_mode="sliding", total_duration=249 * slot_dt,
     )
-    buckets = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing).trace.buckets
+    result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
+    buckets = result.trace.buckets
     tracemalloc.start()
     try:
-        images, frames = sim._frames(schedule, patterns.patterns, buckets, timing, slot_dt)
+        images = window_pass(schedule, patterns.patterns, timing, buckets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(frames) == 10
-    # Beyond its 5.5 MiB of frames, the pass holds the accumulator and the
-    # pending sums (0.55 MiB each) and one chunk of projected cells.
+    assert len(images) == 10
+    # Beyond its 5.5 MiB of frames, the pass holds the accumulator, the
+    # pending sums and one frame being handed out (0.55 MiB each), the last
+    # 240 buckets and one chunk of projected cells.
     assert peak - images.nbytes <= 3 * 2**20
-    direct = scatter_frames(schedule, patterns.patterns, buckets, frames, slot_dt)
+    direct = scatter_frames(schedule, patterns.patterns, buckets, result.frames, slot_dt)
     assert np.array_equal(images, direct)
 
 
