@@ -99,8 +99,9 @@ def parse_value(key: str, text: str):
         value = _parse_int(key, text)
         if key in ("n", "k", "workers") and value < 1:
             raise ConfigError(f"{key}: must be >= 1, got {value}")
-        if key == "seed" and value < 0:
-            raise ConfigError(f"seed: must be >= 0, got {value}")
+        if key == "seed" and not 0 <= value < 2**64:
+            # rng.word reduces the seed mod 2**64: a larger one would alias a smaller.
+            raise ConfigError(f"seed: must be in [0, 2**64), got {value}")
         return value
     if key == "order_mode":
         return _parse_choice(key, text, ORDER_MODES)

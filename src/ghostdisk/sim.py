@@ -36,12 +36,19 @@ tumbling windows never need a slot of an earlier block.
 ``simulate`` hands each block's bucket rows and closed frames to a sink as
 it goes, or collects them into one ``SimulationResult``; streamed, a run
 holds O(``BLOCK_SLOTS`` + window + n^2) values, whatever its length.
+
+Both text exports, frame ``.txt`` files and ``bucket.csv``, spell their
+integers as whole arrays through one base-10**4 digit-group formatter;
+``bucket.csv``'s times are Python's ``repr`` of each slot's start.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -161,35 +168,36 @@ def slot_contribution(mask: np.ndarray, bucket: np.ndarray) -> np.ndarray:
 
 def _offset_blocks(
     trajectory: Trajectory, slot_dt: Fraction, slot_count: int
-) -> list[tuple[int, int, tuple[int, int]]]:
-    """Partition slots into runs of constant object pose.
+) -> Iterator[tuple[int, int, tuple[int, int]]]:
+    """Partition slots into runs of constant object pose, lazily.
 
-    Returns (start_slot, end_slot, offset) triples, with one ``offset_at``
+    Yields (start_slot, end_slot, offset) triples, with one ``offset_at``
     call per run.  Static trajectories give one run; a hold interval gives
     one run per hold block that holds a slot start; free linear motion
-    gives one run per pose, cut where either axis' offset changes.
+    gives one run per pose, cut where either axis' offset changes.  Only
+    the current run is held, whatever the number of poses.
     """
     if trajectory.mode == "static":
-        return [(0, slot_count, (0, 0))]
-    if trajectory.hold_interval is not None:
-        hold = trajectory.hold_interval
-        cuts = [0]
-        while cuts[-1] < slot_count:
-            # Jump to the block of the last cut, skipping blocks no slot starts in.
-            block = (cuts[-1] * slot_dt) // hold
-            cuts.append(min(math.ceil((block + 1) * hold / slot_dt), slot_count))
-    else:
-        changes = set()
-        for v in trajectory.velocity:
-            changes.update(_offset_changes(v * slot_dt, slot_count))
-        cuts = [0, *sorted(changes), slot_count]
-    return [
-        (lo, hi, trajectory.offset_at(lo * slot_dt)) for lo, hi in zip(cuts[:-1], cuts[1:])
-    ]
+        yield 0, slot_count, (0, 0)
+        return
+    hold = trajectory.hold_interval
+    # Both axes' change slots, merged in order; groupby drops a slot both share.
+    changes = (s for s, _ in itertools.groupby(heapq.merge(
+        *(_offset_changes(v * slot_dt, slot_count) for v in trajectory.velocity)
+    )))
+    lo = 0
+    while lo < slot_count:
+        if hold is None:
+            hi = next(changes, slot_count)
+        else:
+            # The end of lo's hold block, skipping blocks no slot starts in.
+            hi = min(math.ceil(((lo * slot_dt) // hold + 1) * hold / slot_dt), slot_count)
+        yield lo, hi, trajectory.offset_at(lo * slot_dt)
+        lo = hi
 
 
-def _offset_changes(step: Fraction, slot_count: int) -> range | list[int]:
-    """Slots ``0 < s < slot_count`` where ``round_half_away(step * s)`` changes.
+def _offset_changes(step: Fraction, slot_count: int) -> Iterator[int]:
+    """Slots ``0 < s < slot_count`` where ``round_half_away(step * s)`` changes, in order.
 
     With ``step = ±a/b``, ``|round(step * s)| >= m`` exactly when
     ``2as + b >= 2bm``, so the value first reaches ``m`` at slot
@@ -198,9 +206,11 @@ def _offset_changes(step: Fraction, slot_count: int) -> range | list[int]:
     """
     a, b = abs(step.numerator), step.denominator
     if a >= b:
-        return range(1, slot_count)
+        yield from range(1, slot_count)
+        return
     last = (2 * a * (slot_count - 1) + b) // (2 * b)
-    return [-((1 - 2 * m) * b // (2 * a)) for m in range(1, last + 1)]
+    for m in range(1, last + 1):
+        yield -((1 - 2 * m) * b // (2 * a))
 
 
 def simulate(
@@ -298,7 +308,7 @@ def _bucket_blocks(
     spec = schedule.spec
     per_rev = spec.slots_per_revolution
     base = scene.pixels.astype(np.int64)
-    runs = iter(_offset_blocks(trajectory, slot_dt, slot_count))
+    runs = _offset_blocks(trajectory, slot_dt, slot_count)
     hi = 0
     # Every temporary dies before the yield: a suspended walk holds none.
     for b_lo in range(0, slot_count, BLOCK_SLOTS):
@@ -357,9 +367,10 @@ def _check_frame_peak(
     noise = math.floor(noise_sigma * math.sqrt(-2.0 * math.log(2.0**-53))) + 1
     peak = per_pixel * visits * (255 * per_slot + noise)
     if peak >= 2**63:
+        # As a power of two: a float cannot hold every peak a window allows.
         raise ValueError(
-            f"frames could reach {peak:.3e} counts, past int64: shorten "
-            "persistence_time or lower noise_sigma"
+            f"frames could reach 2**{peak.bit_length() - 1} counts or more, past int64: "
+            "shorten persistence_time or lower noise_sigma"
         )
 
 
@@ -532,7 +543,8 @@ def _group_spellings() -> np.ndarray:
     Entry ``offset + g`` spells ``g`` as a leading group (``_LEADING``: its
     leading zeros become zero bytes, so 0 is four zero bytes), as an inner
     group (``_INNER``: zero-padded to four digits) or as a value's only
-    group (``_UNITS``: like leading, but 0 spells "0").
+    group (``_UNITS``: like leading, but 0 spells "0").  ``_int_cells``
+    reads it for both text exports: frame ``.txt`` files and ``bucket.csv``.
     """
     g = np.arange(10_000)
     digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
@@ -545,44 +557,46 @@ def _group_spellings() -> np.ndarray:
     return table
 
 
-def _value_cells(images: np.ndarray) -> np.ndarray:
-    """The values of a ``(B, h, w, 3)`` int block as fixed-width ASCII cells.
+def _int_cells(values: np.ndarray, sep: int) -> np.ndarray:
+    """A 1-D int64 array as fixed-width ASCII cells, one row per value.
 
-    Values come in file order (frame, channel, row, column).  Each cell is
-    a sign byte, one four-byte spelling per base-10**4 digit group (as many
-    groups as the block's largest magnitude needs) and a separator: a space,
-    or a newline at a row's end.  Padding bytes are zero.
+    Each cell is a sign byte, one four-byte ``_group_spellings()`` entry per
+    base-10**4 digit group (as many groups as the largest magnitude needs)
+    and the separator byte ``sep``; padding bytes are zero, so
+    ``cells[cells != 0]`` leaves each ``str(value)`` and its separator.
+    Both text exports spell their integers here: frame ``.txt`` values and
+    ``bucket.csv``'s slot and color columns.
     """
-    width = images.shape[2]
-    values = images.transpose(0, 3, 1, 2).astype(np.int64, order="C").reshape(-1)
-    negative = values < 0
-    quot = np.abs(values, out=values).view(np.uint64)  # exact for -2**63 too
-    groups, top = 1, int(quot.max())
+    quot = np.abs(values).view(np.uint64)  # exact for -2**63 too
+    groups, top = 1, int(quot.max(initial=0))
     while top >= 10_000**groups:
         groups += 1
-    idx = np.empty((quot.size, groups), dtype=np.intp)
+    idx = np.empty((len(values), groups), dtype=np.intp)
     for col in range(groups - 1, -1, -1):
         nxt = quot // _GROUP
         quot -= nxt * _GROUP
         idx[:, col] = quot
         idx[:, col] += np.where(nxt > 0, _INNER, _UNITS if col == groups - 1 else _LEADING)
         quot = nxt
-    cells = np.empty((quot.size, 4 * groups + 2), dtype=np.uint8)
-    cells[:, 0] = np.where(negative, ord("-"), 0)
+    cells = np.empty((len(values), 4 * groups + 2), dtype=np.uint8)
+    cells[:, 0] = np.where(values < 0, ord("-"), 0)
     cells[:, 1:-1] = _group_spellings()[idx].view(np.uint8)
-    cells[:, -1] = ord(" ")
-    cells.reshape(-1, width, cells.shape[1])[:, -1, -1] = ord("\n")
+    cells[:, -1] = sep
     return cells
 
 
 def frame_texts(images: np.ndarray) -> list[bytes]:
     """``frame_NNNN.txt`` bytes of each frame of a ``(B, h, w, 3)`` int block.
 
-    Dropping the zero padding of the value cells leaves exactly the
-    ``" ".join(map(str, row))`` lines; every ``h``-th newline ends a channel.
+    The values go through ``_int_cells`` in file order (frame, channel,
+    row, column), a space after each and a newline at each row's end.
+    Dropping the zero padding leaves exactly the ``" ".join(map(str, row))``
+    lines; every ``h``-th newline ends a channel.
     """
-    count, height = images.shape[:2]
-    cells = _value_cells(images)
+    count, height, width = images.shape[:3]
+    values = images.transpose(0, 3, 1, 2).astype(np.int64, order="C").reshape(-1)
+    cells = _int_cells(values, ord(" "))
+    cells.reshape(-1, width, cells.shape[1])[:, -1, -1] = ord("\n")
     text = cells[cells != 0]
     ends = (np.flatnonzero(text == ord("\n"))[height - 1 :: height] + 1).tolist()
     data = text.tobytes()
@@ -611,13 +625,26 @@ def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
     the file is created with its header; a later first slot appends to it,
     so a run written block by block gives the same bytes as a whole trace.
     ``s * num / den`` divides Python ints with correct rounding, so each
-    time equals ``float(s * slot_dt)``.
+    time is ``repr(float(s * slot_dt))``; the other columns are base-10
+    integers from ``_int_cells``.  Each ``BLOCK_SLOTS`` rows become one
+    array of fixed-width cells, compacted and written.
     """
     num, den = trace.slot_dt.numerator, trace.slot_dt.denominator
-    header = "" if first_slot else "t,slot,red,green,blue\n"
-    rows = "".join(
-        f"{s * num / den!r},{s},{r},{g},{b}\n"
-        for s, (r, g, b) in enumerate(trace.buckets.tolist(), first_slot)
-    )
+    buckets = np.asarray(trace.buckets, dtype=np.int64)
     with open(path, "ab" if first_slot else "wb") as fh:
-        fh.write((header + rows).encode("ascii"))
+        if not first_slot:
+            fh.write(b"t,slot,red,green,blue\n")
+        for lo in range(0, len(buckets), BLOCK_SLOTS):
+            block = buckets[lo : lo + BLOCK_SLOTS]
+            s_lo, s_hi = first_slot + lo, first_slot + lo + len(block)
+            times = map(operator.truediv, range(s_lo * num, s_hi * num, num), itertools.repeat(den))
+            text = np.frombuffer((",".join(map(repr, times)) + ",").encode("ascii"), np.uint8)
+            # Each time and its comma, left-aligned in one zero-padded cell.
+            size = np.diff(np.flatnonzero(text == ord(",")), prepend=-1)
+            stamp = np.zeros((len(block), size.max()), dtype=np.uint8)
+            stamp[np.arange(stamp.shape[1]) < size[:, None]] = text
+            slots = _int_cells(np.arange(s_lo, s_hi, dtype=np.int64), ord(","))
+            rgb = _int_cells(block.reshape(-1), ord(",")).reshape(len(block), -1)
+            rgb[:, -1] = ord("\n")
+            cells = np.concatenate([stamp, slots, rgb], axis=1)
+            fh.write(cells[cells != 0].tobytes())

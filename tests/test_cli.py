@@ -333,6 +333,28 @@ def test_simulate_frame_overflow_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_frame_peak_past_float_range_exits_2(tmp_path, capsys):
+    # A revolution of 1/7**400 s puts about 49 * 7**400 slots in one window:
+    # a peak no float can hold, so the refusal spells it as a power of two.
+    out = tmp_path / "run"
+    argv = ["simulate", *FAST, "--revolution-period", f"1/{7**400}", "--total-duration", "1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: frames could reach 2**1131 counts or more, past int64")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_simulate_seed_past_64_bits_exits_2(tmp_path, capsys):
+    # 2**64 would reduce to seed 0 in rng.word and write seed 0's noise.
+    out = tmp_path / "run"
+    argv = ["simulate", *FAST, "--noise-sigma", "2", "--seed", str(2**64), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: seed: must be in [0, 2**64)")
+    assert not out.exists()
+
+
 def test_simulate_unindexable_frame_count_exits_2(tmp_path, capsys):
     # Tumbling windows far shorter than a slot ask for 10**300 frames, whose
     # array numpy cannot index: refused before any slot is simulated.
@@ -391,7 +413,7 @@ def test_streamed_run_equals_collected_result(tmp_path, case):
         obj, traj, schedule, patterns, timing, noise_sigma=cfg.noise_sigma, seed=cfg.seed
     )
     if case == "pose_runs_across_blocks":
-        runs = sim._offset_blocks(traj, result.trace.slot_dt, len(result.trace.buckets))
+        runs = list(sim._offset_blocks(traj, result.trace.slot_dt, len(result.trace.buckets)))
         assert sum(lo < edge < hi for lo, hi, _ in runs for edge in (4096, 8192)) == 2
     collected = tmp_path / "collected"
     collected.mkdir()

@@ -63,6 +63,7 @@ def test_unknown_key_rejected():
         ("n", "seven"),
         ("k", "2.5"),
         ("seed", "-1"),
+        ("seed", str(2**64)),
         ("workers", "0"),
         ("order_mode", "spiral"),
         ("window_mode", "open"),
@@ -81,6 +82,11 @@ def test_unknown_key_rejected():
 def test_bad_values_rejected(key, value):
     with pytest.raises(ConfigError, match=key.split("_")[0]):
         config.parse_value(key, value)
+
+
+def test_largest_seed_is_the_generators_last_word():
+    # rng.word reduces the seed mod 2**64; 2**64 itself is refused above.
+    assert config.parse_value("seed", str(2**64 - 1)) == 2**64 - 1
 
 
 def test_merge_precedence_later_layers_win():

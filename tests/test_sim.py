@@ -423,7 +423,7 @@ def test_pose_runs_across_bucket_blocks_match_per_slot_oracle(hold):
     traj = scene.Trajectory(
         mode="linear", velocity=(Fraction(1, 30), Fraction(-1, 40)), hold_interval=hold
     )
-    runs = sim._offset_blocks(traj, slot_dt, slot_count)
+    runs = list(sim._offset_blocks(traj, slot_dt, slot_count))
     # Every fixed noise-block edge falls inside a pose run, and a moved pose
     # spans more than one bucket block of its run.
     edges = range(sim.BLOCK_SLOTS, slot_count, sim.BLOCK_SLOTS)
@@ -531,6 +531,36 @@ def test_twenty_times_longer_static_run_grows_peak_by_at_most_the_ring():
     assert long - short <= (21 * 196 + sim.BLOCK_SLOTS) * 24
 
 
+@pytest.mark.parametrize("hold", [False, True])
+def test_one_pose_per_slot_runs_hold_no_more_for_more_slots(hold):
+    import tracemalloc
+
+    slot_dt = Fraction(1, 49)
+    # Both axes change at every slot, with a hold block per slot or without.
+    traj = scene.Trajectory(
+        mode="linear", velocity=(Fraction(49), Fraction(-98)),
+        hold_interval=slot_dt if hold else None,
+    )
+
+    def walk_peak(slot_count):
+        tracemalloc.start()
+        try:
+            count = 0
+            for lo, hi, _ in sim._offset_blocks(traj, slot_dt, slot_count):
+                assert hi == lo + 1
+                count += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == slot_count
+        return peak
+
+    walk_peak(10)  # first-call caches
+    short, long = walk_peak(500), walk_peak(5_000)
+    # A list of the 4,500 more runs would hold about 1 MiB or more (230-350 B each).
+    assert long - short <= 16 * 1024
+
+
 def asymmetric_patterns(length, seed):
     """A 0/1 pattern set with ``R != R.T``, for transposition mistakes."""
     bits = np.random.default_rng(seed).integers(0, 2, size=(length, length))
@@ -585,7 +615,7 @@ def test_pattern_domain_switch_matches_dense_oracle(side, order_mode, pattern_se
             mode="linear", velocity=(1 / (b * slot_dt), -1 / (2 * b * slot_dt)),
             hold_interval=b * slot_dt,
         )
-        runs = sim._offset_blocks(traj, slot_dt, slot_count)
+        runs = list(sim._offset_blocks(traj, slot_dt, slot_count))
         assert [hi - lo for lo, hi, _ in runs] == [b] * 12
         timing = sim.TimingConfig(
             revolution_period=period, persistence_window=b * slot_dt,
@@ -934,7 +964,7 @@ def _velocities() -> st.SearchStrategy[Fraction]:
 )
 def test_offset_runs_match_per_slot_offsets(velocity, slot_dt, slot_count, hold):
     traj = scene.Trajectory(mode="linear", velocity=velocity, hold_interval=hold)
-    assert sim._offset_blocks(traj, slot_dt, slot_count) == offset_runs_oracle(
+    assert list(sim._offset_blocks(traj, slot_dt, slot_count)) == offset_runs_oracle(
         traj, slot_dt, slot_count
     )
 
@@ -948,7 +978,7 @@ def test_offset_runs_at_exact_ties(axis, sign):
     velocity = [Fraction(0), Fraction(0)]
     velocity[axis] = Fraction(2 * sign)
     traj = scene.Trajectory(mode="linear", velocity=tuple(velocity))
-    runs = sim._offset_blocks(traj, slot_dt, 20)
+    runs = list(sim._offset_blocks(traj, slot_dt, 20))
     assert [lo for lo, _, _ in runs] == [0, 3, 9, 15]
     assert [offset[axis] for _, _, offset in runs] == [0, sign, 2 * sign, 3 * sign]
     assert runs == offset_runs_oracle(traj, slot_dt, 20)
@@ -959,6 +989,72 @@ def test_bucket_csv_format(tmp_path):
     path = tmp_path / "b.csv"
     sim.write_bucket_csv(trace, path)
     assert path.read_text() == "t,slot,red,green,blue\n0.0,0,1,2,3\n0.125,1,0,0,9\n"
+
+
+def bucket_csv_oracle(trace, first_slot=0):
+    """``bucket.csv`` bytes from one f-string per row: the referee for the writer."""
+    num, den = trace.slot_dt.numerator, trace.slot_dt.denominator
+    header = "" if first_slot else "t,slot,red,green,blue\n"
+    rows = "".join(
+        f"{s * num / den!r},{s},{r},{g},{b}\n"
+        for s, (r, g, b) in enumerate(trace.buckets.tolist(), first_slot)
+    )
+    return (header + rows).encode("ascii")
+
+
+def _bucket_values():
+    # Up to int64's top, past the largest noisy bucket (about 4.3e18 at
+    # NOISE_SIGMA_MAX), with every digit-group edge; and, rarely, the
+    # negative values that a library caller's trace may hold.
+    edges = [10**e + d for e in range(0, 19) for d in (-1, 0)] + [2**62, 2**63 - 1]
+    return st.one_of(
+        st.integers(0, 300),
+        st.sampled_from(edges),
+        st.integers(0, 2**63 - 1),
+        st.sampled_from([-1, -(10**4), -(2**63)]),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_bucket_values(), _bucket_values(), _bucket_values()), max_size=40),
+    first_slot=st.one_of(
+        st.just(0),
+        st.integers(9_960, 10_000),  # slot numbers that gain a digit group
+        st.integers(0, 10**6),
+        st.integers(10**15, 10**18),
+    ),
+    slot_dt=st.one_of(
+        st.fractions(Fraction(1, 10**6), 3, max_denominator=10**6),
+        st.builds(Fraction, st.integers(1, 10**3), st.integers(10**28, 10**31)),  # e-28 times
+        st.just(Fraction(1, 49 * 7**30)),
+        st.builds(Fraction, st.integers(10**16, 10**20), st.integers(1, 7)),  # times >= 1e16
+    ),
+    split=st.integers(0, 40),
+)
+def test_bucket_csv_equals_per_row_oracle(tmp_path_factory, rows, first_slot, slot_dt, split):
+    buckets = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    split = min(split, len(buckets))
+    path = tmp_path_factory.mktemp("csv") / "bucket.csv"
+    # Two calls, the second appending its rows after the first's.
+    sim.write_bucket_csv(sim.BucketTrace(buckets[:split], slot_dt), path, first_slot)
+    sim.write_bucket_csv(sim.BucketTrace(buckets[split:], slot_dt), path, first_slot + split)
+    expected = bucket_csv_oracle(sim.BucketTrace(buckets, slot_dt), first_slot)
+    assert path.read_bytes() == expected
+
+
+def test_bucket_csv_over_several_blocks_equals_per_row_oracle(tmp_path):
+    # Blocks of BLOCK_SLOTS rows each size their cells on their own values:
+    # small and huge buckets in turn, slots crossing 9,999 -> 10,000.
+    gen = np.random.default_rng(11)
+    buckets = gen.integers(0, 5_000, size=(2 * sim.BLOCK_SLOTS + 17, 3))
+    buckets[sim.BLOCK_SLOTS : 2 * sim.BLOCK_SLOTS] *= 10**14
+    trace = sim.BucketTrace(buckets, Fraction(1, 3 * 7**5))
+    path = tmp_path / "bucket.csv"
+    sim.write_bucket_csv(trace, path, 5_000)
+    assert path.read_bytes() == bucket_csv_oracle(trace, 5_000)
+    sim.write_bucket_csv(trace, path)
+    assert path.read_bytes() == bucket_csv_oracle(trace)
 
 
 @settings(max_examples=60, deadline=None)
