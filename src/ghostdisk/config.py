@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+from . import rng
 from .disk import ORDER_MODES, build_schedule, make_spec
 from .hadamard import reduce_matrix, sylvester_hadamard
 from .scene import (
@@ -99,9 +100,11 @@ def parse_value(key: str, text: str):
         value = _parse_int(key, text)
         if key in ("n", "k", "workers") and value < 1:
             raise ConfigError(f"{key}: must be >= 1, got {value}")
-        if key == "seed" and not 0 <= value < 2**64:
-            # rng.word reduces the seed mod 2**64: a larger one would alias a smaller.
-            raise ConfigError(f"seed: must be in [0, 2**64), got {value}")
+        if key == "seed":
+            try:
+                rng.check_seed(value)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         return value
     if key == "order_mode":
         return _parse_choice(key, text, ORDER_MODES)

@@ -136,12 +136,14 @@ def random_pattern_set(pattern_length: int, count: int, seed: int) -> np.ndarray
 
     Bits come from the package's counter-based generator (see ``rng``), so
     the same ``(pattern_length, count, seed)`` always produces the same
-    array.  Returns a ``count x pattern_length`` 0/1 integer matrix.
+    array.  Returns a ``count x pattern_length`` 0/1 integer matrix; a
+    seed outside [0, 2**64) raises ``ValueError``.
     """
     if pattern_length < 1:
         raise ValueError("pattern_length must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
+    rng.check_seed(seed)
     size = pattern_length * count
     big_endian = rng.words(seed, 0, -(-size // 64)).astype(">u8")
     bits = np.unpackbits(big_endian.view(np.uint8))[:size]

@@ -54,6 +54,12 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64), which would alias one inside it mod 2**64."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed: must be in [0, 2**64), got {seed}")
+
+
 def word(seed: int, index: int) -> int:
     """The ``index``-th 64-bit output word of the stream for ``seed``."""
     if index < 0:

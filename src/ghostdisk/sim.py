@@ -22,17 +22,22 @@ Detector noise, when enabled, perturbs each bucket value with a Gaussian
 read from the counter-based generator at index ``3 * slot + channel``, so
 any slot's noise can be reproduced without replaying the slots before it.
 
+Motion is sampled per slot: each axis' offset is the count of the slots,
+found once per run in exact integers, where its magnitude first reaches
+1, 2, ..., n.  Offsets, so clipped to +-n, index one zero-padded copy of
+the scene, and static, held and free motion take one path at one cost.
+
 A run is one walk, in one thread, over blocks of ``BLOCK_SLOTS`` slots.
-Each block gathers its buckets' pattern rows and posed cells by index, per
-run of constant pose, adds its noise, and folds its buckets into one
-running accumulator; the frames whose window ends inside the block then
-close.  Each window's leaving and entering slots sum their buckets per
-(row, cell, pattern) into ``dB``, and only the cells they touched go
-through the ``n_cell x n_cell`` pattern matrix, as ``acc += R^T @ dB``: a
-one-slot sliding step projects one or two cells, a whole window every
-cell.  Sliding windows take their leaving slots from the last
-``window_slots`` buckets, which one buffer carries from block to block;
-tumbling windows never need a slot of an earlier block.
+Each block gathers its buckets' pattern rows and posed cells by index,
+adds its noise, and folds its buckets into one running accumulator; the
+frames whose window ends inside the block then close.  Each window's
+leaving and entering slots sum their buckets per (row, cell, pattern)
+into ``dB``, and only the cells they touched go through the ``n_cell x
+n_cell`` pattern matrix, as ``acc += R^T @ dB``: a one-slot sliding step
+projects one or two cells, a whole window every cell.  Sliding windows
+take their leaving slots from the last ``window_slots`` buckets, which
+one buffer carries from block to block; tumbling windows never need a
+slot of an earlier block.
 ``simulate`` hands each block's bucket rows and closed frames to a sink as
 it goes, or collects them into one ``SimulationResult``; streamed, a run
 holds O(``BLOCK_SLOTS`` + window + n^2) values, whatever its length.
@@ -45,7 +50,6 @@ integers as whole arrays through one base-10**4 digit-group formatter;
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 import operator
@@ -54,11 +58,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pnm, rng
 from .disk import ScanSchedule, check_pattern_length
 from .hadamard import ReducedPatternSet
-from .scene import SceneObject, Trajectory, as_fraction, translate_image
+from .scene import SceneObject, Trajectory, as_fraction
 
 __all__ = [
     "WINDOW_MODES",
@@ -166,51 +171,28 @@ def slot_contribution(mask: np.ndarray, bucket: np.ndarray) -> np.ndarray:
     return mask.astype(np.int64)[:, :, None] * np.asarray(bucket, dtype=np.int64)[None, None, :]
 
 
-def _offset_blocks(
-    trajectory: Trajectory, slot_dt: Fraction, slot_count: int
-) -> Iterator[tuple[int, int, tuple[int, int]]]:
-    """Partition slots into runs of constant object pose, lazily.
+def _pose_steps(velocity: Fraction, hold: Fraction, slot_dt: Fraction, n: int,
+                slot_count: int) -> np.ndarray:
+    """Slots ``s < slot_count`` where ``|offset|`` first reaches ``1, 2, ..., n``, in order.
 
-    Yields (start_slot, end_slot, offset) triples, with one ``offset_at``
-    call per run.  Static trajectories give one run; a hold interval gives
-    one run per hold block that holds a slot start; free linear motion
-    gives one run per pose, cut where either axis' offset changes.  Only
-    the current run is held, whatever the number of poses.
+    Slot ``s`` is posed at hold block ``k = floor(s * slot_dt / hold)``
+    (``hold = slot_dt`` for free motion, so ``k = s``), with offset
+    ``round_half_away(velocity * hold * k)``.  With ``velocity * hold =
+    +-a/b``, that offset reaches ``m`` in magnitude exactly when ``2ak + b >=
+    2bm``, so first at ``k = ceil((2m - 1) b / 2a)``, whose first slot is
+    ``ceil(k * hold / slot_dt)``.  The count of steps at or before a slot is
+    then its offset's magnitude, clipped to ``n``.
     """
-    if trajectory.mode == "static":
-        yield 0, slot_count, (0, 0)
-        return
-    hold = trajectory.hold_interval
-    # Both axes' change slots, merged in order; groupby drops a slot both share.
-    changes = (s for s, _ in itertools.groupby(heapq.merge(
-        *(_offset_changes(v * slot_dt, slot_count) for v in trajectory.velocity)
-    )))
-    lo = 0
-    while lo < slot_count:
-        if hold is None:
-            hi = next(changes, slot_count)
-        else:
-            # The end of lo's hold block, skipping blocks no slot starts in.
-            hi = min(math.ceil(((lo * slot_dt) // hold + 1) * hold / slot_dt), slot_count)
-        yield lo, hi, trajectory.offset_at(lo * slot_dt)
-        lo = hi
-
-
-def _offset_changes(step: Fraction, slot_count: int) -> Iterator[int]:
-    """Slots ``0 < s < slot_count`` where ``round_half_away(step * s)`` changes, in order.
-
-    With ``step = ±a/b``, ``|round(step * s)| >= m`` exactly when
-    ``2as + b >= 2bm``, so the value first reaches ``m`` at slot
-    ``ceil((2m - 1) b / 2a)``.  A step of at least one pixel changes the
-    offset at every slot, which also bounds the work by the slot count.
-    """
-    a, b = abs(step.numerator), step.denominator
-    if a >= b:
-        yield from range(1, slot_count)
-        return
-    last = (2 * a * (slot_count - 1) + b) // (2 * b)
-    for m in range(1, last + 1):
-        yield -((1 - 2 * m) * b // (2 * a))
+    step, ratio = abs(velocity * hold), hold / slot_dt
+    a, b = step.numerator, step.denominator
+    steps = []
+    for m in range(1, n + 1 if a else 1):
+        k = -((1 - 2 * m) * b // (2 * a))
+        s = -(-k * ratio.numerator // ratio.denominator)
+        if s >= slot_count:
+            break
+        steps.append(s)
+    return np.array(steps, dtype=np.int64)
 
 
 def simulate(
@@ -236,10 +218,10 @@ def simulate(
     frame).  Both arrays are reused once the call returns, so a sink copies
     what it keeps.  The result then holds no frames and an empty trace.
 
-    Raises ``ValueError`` up front, before any slot is simulated, when a
-    frame could overflow int64 (see ``_check_frame_peak``) or the
-    ``(F, n, n, 3)`` int64 array of every frame has more bytes than numpy
-    can index.
+    Raises ``ValueError`` up front, before any slot is simulated, when the
+    seed lies outside [0, 2**64), a frame could overflow int64 (see
+    ``_check_frame_peak``) or the ``(F, n, n, 3)`` int64 array of every
+    frame has more bytes than numpy can index.
     """
     spec = schedule.spec
     check_pattern_length(spec, patterns)
@@ -247,6 +229,7 @@ def simulate(
         raise ValueError(f"noise_sigma must be in [0, {NOISE_SIGMA_MAX:g}], got {noise_sigma}")
     if scene.side != spec.n:
         raise ValueError(f"scene side {scene.side} does not match spec n {spec.n}")
+    rng.check_seed(seed)
 
     per_rev = spec.slots_per_revolution
     slot_dt = timing.slot_duration(per_rev)
@@ -300,34 +283,38 @@ def _bucket_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(b_lo, buckets)`` for each block of ``BLOCK_SLOTS`` slots, in order.
 
-    Each pose run the block overlaps gathers its slots' pattern rows and
-    posed cells by index and takes their products; then the block draws
-    its noise at once, Gaussian index ``3 * slot + channel``.  Only the
-    current pose is kept: a linear trajectory never returns to one it left.
+    Static, held and free motion share one path.  The scene sits, as
+    ``uint8``, in the middle of a zero frame three times its side, and
+    ``win[y, x]`` reads the ``n_cell`` pixels from ``(y, x)`` rightward.
+    Each slot's offset ``(dx, dy)``, clipped to +-n (beyond which the
+    posed scene is all zero), is its count of ``_pose_steps`` per axis;
+    its posed cell is then ``win[row - dy + n, cell * n_cell - dx + n]``.
+    The block gathers every slot's pattern row and posed cell by index,
+    takes their products, and draws its noise at once, Gaussian index
+    ``3 * slot + channel``.
     """
     spec = schedule.spec
+    n, n_cell = spec.n, spec.n_cell
     per_rev = spec.slots_per_revolution
-    base = scene.pixels.astype(np.int64)
-    runs = _offset_blocks(trajectory, slot_dt, slot_count)
-    hi = 0
+    pad = np.zeros((3 * n, 3 * n, 3), dtype=np.uint8)
+    pad[n : 2 * n, n : 2 * n] = scene.pixels
+    win = sliding_window_view(pad.reshape(3 * n, 9 * n), 3 * n_cell, axis=1)[:, ::3]
+    hold = trajectory.hold_interval or slot_dt
+    velocity = trajectory.velocity if trajectory.mode == "linear" else (0, 0)
+    axes = [(1 if v > 0 else -1, _pose_steps(v, hold, slot_dt, n, slot_count)) for v in velocity]
     # Every temporary dies before the yield: a suspended walk holds none.
     for b_lo in range(0, slot_count, BLOCK_SLOTS):
         b_hi = min(b_lo + BLOCK_SLOTS, slot_count)
-        buckets = np.empty((b_hi - b_lo, 3), dtype=np.int64)
-        s = b_lo
-        while s < b_hi:
-            if s == hi:
-                _, hi, offset = next(runs)
-                pose = base if offset == (0, 0) else translate_image(base, *offset)
-                cells = pose.reshape(spec.n, spec.k, spec.n_cell, 3)
-            e = min(hi, b_hi)
-            j = np.arange(s, e) % per_rev
-            buckets[s - b_lo : e - b_lo] = np.einsum(
-                "sj,sjc->sc",
-                patterns.patterns[schedule.pattern_index[j]],
-                cells[schedule.rows[j], schedule.cells[j]],
-            )
-            s = e
+        slots = np.arange(b_lo, b_hi)
+        dx, dy = (sign * np.searchsorted(steps, slots, "right") for sign, steps in axes)
+        j = slots % per_rev
+        cells = win[schedule.rows[j] - dy + n, schedule.cells[j] * n_cell - dx + n]
+        buckets = np.einsum(
+            "sj,sjc->sc",
+            patterns.patterns[schedule.pattern_index[j]],
+            cells.reshape(-1, n_cell, 3).astype(np.int64),  # mixed dtypes run slower
+        )
+        del slots, dx, dy, j, cells
         if sigma > 0:
             z = rng.gaussians(seed, 3 * b_lo, 3 * b_hi).reshape(-1, 3)
             buckets += np.floor(sigma * z + 0.5).astype(np.int64)

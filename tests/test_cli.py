@@ -47,6 +47,16 @@ def test_patterns_random_is_seeded(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_patterns_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    # 2**64 would reduce to seed 0 in rng.words and write seed 0's patterns.
+    out = tmp_path / "random.txt"
+    argv = ["patterns", "--length", "7", "--random", "3", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: seed: must be in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+
+
 def test_patterns_invalid_length_exits_2(tmp_path, capsys):
     assert main(["patterns", "--length", "6", "--out", str(tmp_path / "x.txt")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -413,8 +423,10 @@ def test_streamed_run_equals_collected_result(tmp_path, case):
         obj, traj, schedule, patterns, timing, noise_sigma=cfg.noise_sigma, seed=cfg.seed
     )
     if case == "pose_runs_across_blocks":
-        runs = list(sim._offset_blocks(traj, result.trace.slot_dt, len(result.trace.buckets)))
-        assert sum(lo < edge < hi for lo, hi, _ in runs for edge in (4096, 8192)) == 2
+        # Both block edges fall inside a pose held from the block before.
+        for edge in (sim.BLOCK_SLOTS, 2 * sim.BLOCK_SLOTS):
+            before, at = (traj.offset_at(s * result.trace.slot_dt) for s in (edge - 1, edge))
+            assert before == at != (0, 0)
     collected = tmp_path / "collected"
     collected.mkdir()
     sim.write_bucket_csv(result.trace, collected / "bucket.csv")

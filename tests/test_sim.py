@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 import math
 import tempfile
 import time
@@ -305,7 +306,7 @@ def test_unindexable_frame_count_refused_up_front(monkeypatch):
     def no_work(*args):
         raise AssertionError("the bucket pass ran")
 
-    monkeypatch.setattr(sim, "_offset_blocks", no_work)
+    monkeypatch.setattr(sim, "_bucket_blocks", no_work)
     # 42,700,796,466,920,259 frames of 9 pixels take 216 bytes each: just past 2**63 - 1.
     timing = sim.TimingConfig(persistence_window=Fraction(1, 42_700_796_466_920_259))
     with pytest.raises(ValueError, match="^42700796466920259 frames of 3x3 pixels cannot be"):
@@ -313,6 +314,21 @@ def test_unindexable_frame_count_refused_up_front(monkeypatch):
     timing = sim.TimingConfig(persistence_window=Fraction(1, 10**400))
     with pytest.raises(ValueError, match="^over 10\\*\\*18 frames"):
         sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_refused_up_front(monkeypatch, seed):
+    spec, patterns, schedule = make_setup(n=3, k=1)
+
+    def no_work(*args):
+        raise AssertionError("the bucket pass ran")
+
+    monkeypatch.setattr(sim, "_bucket_blocks", no_work)
+    with pytest.raises(ValueError, match=r"^seed: must be in \[0, 2\*\*64\)"):
+        sim.simulate(
+            random_scene(3, 0), scene.Trajectory(), schedule, patterns, one_rev_timing(),
+            noise_sigma=1.0, seed=seed,
+        )
 
 
 def test_fine_hold_interval_costs_slots_not_blocks():
@@ -423,12 +439,13 @@ def test_pose_runs_across_bucket_blocks_match_per_slot_oracle(hold):
     traj = scene.Trajectory(
         mode="linear", velocity=(Fraction(1, 30), Fraction(-1, 40)), hold_interval=hold
     )
-    runs = list(sim._offset_blocks(traj, slot_dt, slot_count))
-    # Every fixed noise-block edge falls inside a pose run, and a moved pose
-    # spans more than one bucket block of its run.
+    offsets = [traj.offset_at(s * slot_dt) for s in range(slot_count)]
+    # No pose changes at a fixed noise-block edge, and a moved pose is held
+    # for more than one bucket block.
     edges = range(sim.BLOCK_SLOTS, slot_count, sim.BLOCK_SLOTS)
-    assert all(any(lo < edge < hi for lo, hi, _ in runs) for edge in edges)
-    assert any(hi - lo > sim.BLOCK_SLOTS and offset != (0, 0) for lo, hi, offset in runs)
+    assert all(offsets[edge - 1] == offsets[edge] for edge in edges)
+    held = [len(list(run)) for offset, run in itertools.groupby(offsets) if offset != (0, 0)]
+    assert max(held) > sim.BLOCK_SLOTS
     timing = sim.TimingConfig(
         revolution_period=period,
         persistence_window=period,
@@ -439,8 +456,7 @@ def test_pose_runs_across_bucket_blocks_match_per_slot_oracle(hold):
     assert result.trace.buckets.shape == (slot_count, 3)
     masks = [disk.place_pattern(spec, slot, patterns) for slot in schedule.slots]
     poses = {}
-    for s, row in enumerate(result.trace.buckets.tolist()):
-        offset = traj.offset_at(s * slot_dt)
+    for s, (row, offset) in enumerate(zip(result.trace.buckets.tolist(), offsets)):
         if offset not in poses:
             poses[offset] = scene.translate_image(obj.pixels, *offset)
         clean = sim.bucket_value(masks[s % 36], poses[offset]).tolist()
@@ -449,6 +465,70 @@ def test_pose_runs_across_bucket_blocks_match_per_slot_oracle(hold):
             for ch in range(3)
         ]
         assert row == expected, s
+
+
+@pytest.mark.parametrize(
+    "velocity, hold",
+    [
+        ((2000, -1500), None),  # leaves the field within a block
+        ((1e300, 0), None),  # leaves it at slot 1
+        ((0, -1e-300), None),  # never moves
+        ((30, -20), Fraction(1, 7)),  # a hold edge at slot 3,433
+    ],
+    ids=["leaves_field", "fast", "slow", "held"],
+)
+def test_n155_buckets_match_per_slot_oracle(velocity, hold):
+    from ghostdisk import rng
+
+    spec, patterns, schedule = make_setup(n=155, k=5)
+    obj = random_scene(155, 29)
+    per_rev = spec.slots_per_revolution
+    slot_dt = Fraction(1, per_rev)
+    slot_count = sim.BLOCK_SLOTS + 300
+    sigma, seed = 2.5, 6
+    traj = scene.Trajectory(mode="linear", velocity=velocity, hold_interval=hold)
+    offsets = [traj.offset_at(s * slot_dt) for s in range(slot_count)]
+    if hold is not None:
+        # The pose changes inside the first block, not at its edge.
+        changes = [s for s in range(1, slot_count) if offsets[s] != offsets[s - 1]]
+        assert changes == [3_433]
+    elif velocity[0] > 1:
+        assert all(abs(dx) >= 155 for dx, _ in offsets[2_000:])
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=slot_count * slot_dt,
+        total_duration=slot_count * slot_dt,
+    )
+    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=sigma, seed=seed)
+    poses = {}
+    for s, (row, offset) in enumerate(zip(result.trace.buckets.tolist(), offsets)):
+        # Cached per pose; any offset past the side moves the whole scene out.
+        offset = tuple(max(-155, min(155, d)) for d in offset)
+        if offset not in poses:
+            poses[offset] = scene.translate_image(obj.pixels, *offset).astype(np.int64)
+        lit = np.nonzero(disk.place_pattern(spec, schedule.slots[s % per_rev], patterns))
+        clean = poses[offset][lit].sum(axis=0).tolist()
+        expected = [
+            max(0, clean[ch] + math.floor(sigma * rng.gaussian(seed, 3 * s + ch) + 0.5))
+            for ch in range(3)
+        ]
+        assert row == expected, s
+
+
+def test_one_pose_per_slot_at_n155_runs_in_half_a_second():
+    spec, patterns, schedule = make_setup(n=155, k=5)
+    obj = scene.builtin_letter("T", 155, "white")
+    # One pixel per slot on both axes, over two revolutions.
+    traj = scene.Trajectory(mode="linear", velocity=(24_025, -24_025))
+    assert traj.offset_at(Fraction(1, 24_025)) == (1, -1)
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(1),
+        total_duration=Fraction(2),
+    )
+    start = time.perf_counter()
+    result = sim.simulate(obj, traj, schedule, patterns, timing)
+    # Translating the whole scene once per pose would take over 2 s.
+    assert time.perf_counter() - start < 0.5
+    assert len(result.frames) == 2
 
 
 def test_one_revolution_at_n155_traces_little_beyond_its_result():
@@ -535,20 +615,21 @@ def test_twenty_times_longer_static_run_grows_peak_by_at_most_the_ring():
 def test_one_pose_per_slot_runs_hold_no_more_for_more_slots(hold):
     import tracemalloc
 
+    spec, patterns, schedule = make_setup(n=7, k=1)
+    obj = random_scene(7, 0)
     slot_dt = Fraction(1, 49)
     # Both axes change at every slot, with a hold block per slot or without.
     traj = scene.Trajectory(
         mode="linear", velocity=(Fraction(49), Fraction(-98)),
         hold_interval=slot_dt if hold else None,
     )
+    assert len({traj.offset_at(s * slot_dt) for s in range(100)}) == 100
 
     def walk_peak(slot_count):
         tracemalloc.start()
         try:
-            count = 0
-            for lo, hi, _ in sim._offset_blocks(traj, slot_dt, slot_count):
-                assert hi == lo + 1
-                count += 1
+            blocks = sim._bucket_blocks(obj, traj, schedule, patterns, slot_dt, slot_count, 0.0, 0)
+            count = sum(len(buckets) for _, buckets in blocks)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -556,8 +637,9 @@ def test_one_pose_per_slot_runs_hold_no_more_for_more_slots(hold):
         return peak
 
     walk_peak(10)  # first-call caches
-    short, long = walk_peak(500), walk_peak(5_000)
-    # A list of the 4,500 more runs would hold about 1 MiB or more (230-350 B each).
+    # Both walks hold one block's buckets while the next full block is made.
+    short, long = walk_peak(2 * sim.BLOCK_SLOTS), walk_peak(20 * sim.BLOCK_SLOTS)
+    # A pose or a run kept per slot would hold over 1 MiB for the 73,728 more slots.
     assert long - short <= 16 * 1024
 
 
@@ -615,8 +697,10 @@ def test_pattern_domain_switch_matches_dense_oracle(side, order_mode, pattern_se
             mode="linear", velocity=(1 / (b * slot_dt), -1 / (2 * b * slot_dt)),
             hold_interval=b * slot_dt,
         )
-        runs = list(sim._offset_blocks(traj, slot_dt, slot_count))
-        assert [hi - lo for lo, hi, _ in runs] == [b] * 12
+        # The pose moves one column right every b slots.
+        assert [traj.offset_at(s * slot_dt)[0] for s in range(slot_count)] == [
+            s // b for s in range(slot_count)
+        ]
         timing = sim.TimingConfig(
             revolution_period=period, persistence_window=b * slot_dt,
             window_mode=window_mode, total_duration=slot_count * slot_dt,
@@ -929,17 +1013,13 @@ def test_frame_images_are_views_of_one_array():
         assert np.array_equal(frame.image, image)
 
 
-def offset_runs_oracle(traj, slot_dt, slot_count):
-    """Pose runs from one ``offset_at`` per slot: per hold block, else per pose."""
-    runs = []
-    for s in range(slot_count):
-        offset = traj.offset_at(s * slot_dt)
-        key = (s * slot_dt) // traj.hold_interval if traj.hold_interval else offset
-        if runs and runs[-1][3] == key:
-            runs[-1][1] = s + 1
-        else:
-            runs.append([s, s + 1, offset, key])
-    return [(lo, hi, offset) for lo, hi, offset, _ in runs]
+def step_offsets(velocity, slot_dt, hold, n, slot_count):
+    """Each slot's signed ``sim._pose_steps`` count on one axis."""
+    steps = sim._pose_steps(velocity, hold or slot_dt, slot_dt, n, slot_count)
+    assert steps.tolist() == sorted(steps.tolist()) and len(steps) <= n
+    assert all(0 < s < slot_count for s in steps.tolist())
+    sign = 1 if velocity > 0 else -1
+    return (sign * np.searchsorted(steps, np.arange(slot_count), "right")).tolist()
 
 
 def _velocities() -> st.SearchStrategy[Fraction]:
@@ -960,13 +1040,20 @@ def _velocities() -> st.SearchStrategy[Fraction]:
         st.builds(Fraction, st.integers(1, 10**20), st.integers(1, 10**25)),
     ),
     slot_count=st.integers(1, 300),
-    hold=st.one_of(st.none(), st.fractions(Fraction(1, 1000), 5, max_denominator=1000)),
+    hold=st.one_of(
+        st.none(),
+        st.fractions(Fraction(1, 1000), 5, max_denominator=1000),
+        st.builds(Fraction, st.integers(1, 10), st.just(10**7)),
+    ),
+    n=st.integers(1, 40),
 )
-def test_offset_runs_match_per_slot_offsets(velocity, slot_dt, slot_count, hold):
+def test_pose_steps_match_per_slot_offsets(velocity, slot_dt, slot_count, hold, n):
     traj = scene.Trajectory(mode="linear", velocity=velocity, hold_interval=hold)
-    assert list(sim._offset_blocks(traj, slot_dt, slot_count)) == offset_runs_oracle(
-        traj, slot_dt, slot_count
-    )
+    for axis, v in enumerate(velocity):
+        want = [
+            max(-n, min(n, traj.offset_at(s * slot_dt)[axis])) for s in range(slot_count)
+        ]
+        assert step_offsets(v, slot_dt, hold, n, slot_count) == want, axis
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -978,10 +1065,11 @@ def test_offset_runs_at_exact_ties(axis, sign):
     velocity = [Fraction(0), Fraction(0)]
     velocity[axis] = Fraction(2 * sign)
     traj = scene.Trajectory(mode="linear", velocity=tuple(velocity))
-    runs = list(sim._offset_blocks(traj, slot_dt, 20))
-    assert [lo for lo, _, _ in runs] == [0, 3, 9, 15]
-    assert [offset[axis] for _, _, offset in runs] == [0, sign, 2 * sign, 3 * sign]
-    assert runs == offset_runs_oracle(traj, slot_dt, 20)
+    assert sim._pose_steps(velocity[axis], slot_dt, slot_dt, 7, 20).tolist() == [3, 9, 15]
+    assert sim._pose_steps(velocity[1 - axis], slot_dt, slot_dt, 7, 20).tolist() == []
+    offsets = step_offsets(velocity[axis], slot_dt, None, 7, 20)
+    assert [offsets[s] for s in (2, 3, 8, 9, 15)] == [0, sign, sign, 2 * sign, 3 * sign]
+    assert offsets == [traj.offset_at(s * slot_dt)[axis] for s in range(20)]
 
 
 def test_bucket_csv_format(tmp_path):
