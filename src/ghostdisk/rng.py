@@ -30,10 +30,9 @@ Derived draws, also fixed by this module:
                word and ``u2`` from the odd word.
 
 ``words`` evaluates a whole counter range at once in numpy ``uint64``.
-``gaussians`` takes its uniforms from those words in ``uint64`` too (exact,
-as the uniform's numerator is at most 2^53), ``log`` and ``cos`` through the
-same libm calls as ``gaussian``, and every float step in the same order, so
-each draw is bit-identical to the scalar one.
+``rounded_noise`` gives the noise counts ``floor(sigma * z + 0.5)`` of a
+range of draws, equal to the scalar ones; its ``z`` take numpy's ``log`` and
+``cos``, and libm's only where a last-bit difference could change a count.
 """
 
 from __future__ import annotations
@@ -96,12 +95,23 @@ def words(seed: int, lo: int, hi: int) -> np.ndarray:
     return z
 
 
-def gaussians(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Draws ``lo .. hi-1`` as float64, equal bit for bit to ``gaussian``."""
-    count = hi - lo
+def rounded_noise(seed: int, lo: int, hi: int, sigma: float) -> np.ndarray:
+    """``floor(sigma * gaussian(seed, i) + 0.5)`` for ``i`` in ``lo .. hi-1``, as int64.
+
+    Each draw first takes numpy's ``log`` and ``cos`` in ``gaussian``'s float
+    steps.  Assumed: they lie within ``2**-40 |log(u1)|`` and ``2**-40`` of
+    libm's (both promise a few units in the last place).  Then ``z`` (``|z|
+    < 8.6``) moves by under ``2**-36``, and, with four roundings of at most
+    ``2**-53 (8.6 sigma + 1.5)``, ``y = sigma * z + 0.5`` by under ``m =
+    sigma * 2**-30 + 2**-50``.  So only a draw whose exact ``|y - round(y)|
+    <= m``, or a NaN, can change its floor; those take libm's.
+    """
     z = words(seed, 2 * lo, 2 * hi)
     u = ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-    # np.log/np.cos may differ from libm in the last bit; map the math calls.
-    log_u1 = np.fromiter(map(math.log, u[0::2].tolist()), np.float64, count)
-    cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u[1::2]).tolist()), np.float64, count)
-    return np.sqrt(-2.0 * log_u1) * cos_u2
+    u1, t = u[0::2], 2.0 * math.pi * u[1::2]
+    y = sigma * (np.sqrt(-2.0 * np.log(u1)) * np.cos(t)) + 0.5
+    near = ~(np.abs(y - np.round(y)) > sigma * 2.0**-30 + 2.0**-50)
+    log_u1 = np.fromiter(map(math.log, u1[near].tolist()), np.float64)
+    cos_t = np.fromiter(map(math.cos, t[near].tolist()), np.float64)
+    y[near] = sigma * (np.sqrt(-2.0 * log_u1) * cos_t) + 0.5
+    return np.floor(y).astype(np.int64)

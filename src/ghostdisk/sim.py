@@ -21,6 +21,8 @@ depends on floating-point rounding.
 Detector noise, when enabled, perturbs each bucket value with a Gaussian
 read from the counter-based generator at index ``3 * slot + channel``, so
 any slot's noise can be reproduced without replaying the slots before it.
+Its rounded counts take numpy's ``log`` and ``cos`` (``rng.rounded_noise``),
+and libm's only where a last-bit difference could change one.
 
 Motion is sampled per slot: each axis' offset is the count of the slots,
 found once per run in exact integers, where its magnitude first reaches
@@ -309,17 +311,12 @@ def _bucket_blocks(
         dx, dy = (sign * np.searchsorted(steps, slots, "right") for sign, steps in axes)
         j = slots % per_rev
         cells = win[schedule.rows[j] - dy + n, schedule.cells[j] * n_cell - dx + n]
-        buckets = np.einsum(
-            "sj,sjc->sc",
-            patterns.patterns[schedule.pattern_index[j]],
-            cells.reshape(-1, n_cell, 3).astype(np.int64),  # mixed dtypes run slower
-        )
-        del slots, dx, dy, j, cells
+        rows = patterns.patterns[schedule.pattern_index[j], None]  # (slots, 1, n_cell)
+        buckets = (rows @ cells.reshape(-1, n_cell, 3))[:, 0]  # exact int64 products
+        del slots, dx, dy, j, cells, rows
         if sigma > 0:
-            z = rng.gaussians(seed, 3 * b_lo, 3 * b_hi).reshape(-1, 3)
-            buckets += np.floor(sigma * z + 0.5).astype(np.int64)
+            buckets += rng.rounded_noise(seed, 3 * b_lo, 3 * b_hi, sigma).reshape(-1, 3)
             np.maximum(buckets, 0, out=buckets)
-            del z
         yield b_lo, buckets
 
 
@@ -329,14 +326,15 @@ def _check_frame_peak(
     """Refuse a run whose frames could pass int64, before any work.
 
     A bucket is at most ``255 * per_slot`` plus the largest rounded noise,
-    ``floor(sigma * sqrt(106 ln 2)) + 1`` (``rng.gaussian`` is largest at its
-    smallest uniform, ``2**-53``), where ``per_slot`` is the most lit bits
-    of a pattern.  A window of ``window_slots`` slots visits each
-    schedule slot at most ``ceil(window_slots / per_rev)`` times, and a
-    pixel is lit by at most ``per_pixel`` slots of a revolution (the most
-    lit bits of a pattern column; both are ``c_max`` for the symmetric
-    reduced matrix).  Buckets are nonnegative, so the running accumulator
-    never exceeds the product; like ``NOISE_SIGMA_MAX`` it is a worst case.
+    ``floor(sigma * sqrt(106 ln 2)) + 1`` (``rng.rounded_noise`` rounds each
+    ``rng.gaussian`` draw exactly, the largest at the smallest uniform,
+    ``2**-53``), where ``per_slot`` is the most lit bits of a pattern.  A
+    window of ``window_slots`` slots visits each schedule slot at most
+    ``ceil(window_slots / per_rev)`` times, and a pixel is lit by at most
+    ``per_pixel`` slots of a revolution (the most lit bits of a pattern
+    column; both are ``c_max`` for the symmetric reduced matrix).  Buckets
+    are nonnegative, so the running accumulator never exceeds the product;
+    like ``NOISE_SIGMA_MAX`` it is a worst case.
 
     The same bound covers the window update ``acc += R^T @ dB``.  A
     frame's ``dB`` subtracts the slots leaving the previous window and adds

@@ -99,22 +99,114 @@ GAUSSIAN_RANGES = (
 )
 
 
+# From the subnormal minimum, past 2**29 (every draw takes the libm path)
+# up to NOISE_SIGMA_MAX.
+NOISE_SIGMAS = (5e-324, 0.5, 1.0, 7.3, 2.0**24, 2.0**30, 1e17, NOISE_SIGMA_MAX)
+
+
 @pytest.mark.parametrize("seed,lo,hi", GAUSSIAN_RANGES)
-def test_gaussians_match_scalar_bit_for_bit(seed, lo, hi):
-    got = rng.gaussians(seed, lo, hi)
+def test_rounded_noise_matches_scalar_formula(seed, lo, hi):
     want = [rng.gaussian(seed, i) for i in range(lo, hi)]
-    assert got.dtype == np.float64 and got.shape == (hi - lo,)
-    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
-    # The rounded noise the simulator adds, against the scalar formula.
-    for sigma in (0.5, 1.0, 7.3, 1e17, NOISE_SIGMA_MAX):
-        rounded = np.floor(sigma * got + 0.5).astype(np.int64)
-        assert rounded.tolist() == [math.floor(sigma * z + 0.5) for z in want], sigma
+    for sigma in NOISE_SIGMAS:
+        got = rng.rounded_noise(seed, lo, hi, sigma)
+        assert got.dtype == np.int64 and got.shape == (hi - lo,)
+        assert got.tolist() == [math.floor(sigma * z + 0.5) for z in want], sigma
 
 
-def test_gaussians_empty_and_invalid_ranges():
-    assert rng.gaussians(5, 9, 9).shape == (0,)
-    assert rng.gaussians(5, 0, 0).shape == (0,)
+def test_rounded_noise_empty_and_invalid_ranges():
+    assert rng.rounded_noise(5, 9, 9, 1.0).shape == (0,)
+    assert rng.rounded_noise(5, 0, 0, 1.0).dtype == np.int64
     with pytest.raises(ValueError):
-        rng.gaussians(5, -1, 3)
+        rng.rounded_noise(5, -1, 3, 1.0)
     with pytest.raises(ValueError):
-        rng.gaussians(5, 4, 3)
+        rng.rounded_noise(5, 4, 3, 1.0)
+
+
+def _libm_log_calls(monkeypatch) -> list[float]:
+    """Record every ``math.log`` argument: the draws that take the libm path."""
+    calls, log = [], math.log
+    monkeypatch.setattr(math, "log", lambda x: calls.append(x) or log(x))
+    return calls
+
+
+def _off_by_ulps(fn):
+    """``fn`` with each result moved 1 to 64 units in the last place, up or down."""
+
+    def shifted(x):
+        out = np.array(fn(x))
+        index = np.arange(out.size)
+        ulps = index * 7 % 64 + 1
+        toward = np.where(index % 2, np.inf, -np.inf)
+        for step in range(64):
+            moved = ulps > step
+            out[moved] = np.nextafter(out[moved], toward[moved])
+        return out
+
+    return shifted
+
+
+def test_rounded_noise_exact_under_off_by_ulps_log_and_cos(monkeypatch):
+    seed, lo, hi = 3, 1000, 201_000
+    want = [rng.gaussian(seed, i) for i in range(lo, hi)]
+    u = ((rng.words(seed, 2 * lo, 2 * hi) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    monkeypatch.setattr(np, "log", _off_by_ulps(np.log))
+    monkeypatch.setattr(np, "cos", _off_by_ulps(np.cos))
+    fast = np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * math.pi * u[1::2])
+    missed = 0
+    for sigma in (1.0, 2.5, 2.0**20, 2.0**28, 1e14):
+        exact = [math.floor(sigma * z + 0.5) for z in want]
+        assert rng.rounded_noise(seed, lo, hi, sigma).tolist() == exact, sigma
+        missed += int(np.count_nonzero(np.floor(sigma * fast + 0.5).astype(np.int64) != exact))
+    # Unguarded, the shifted functions do change rounded draws.
+    assert missed > 0
+
+
+def test_rounded_noise_recomputes_nan_draws(monkeypatch):
+    exact = [math.floor(2.5 * rng.gaussian(4, i) + 0.5) for i in range(5000)]
+    log = np.log
+
+    def nan_every_97th(x):
+        out = log(x)
+        out[::97] = np.nan
+        return out
+
+    monkeypatch.setattr(np, "log", nan_every_97th)
+    assert rng.rounded_noise(4, 0, 5000, 2.5).tolist() == exact
+
+
+def test_rounded_noise_flags_draws_within_one_ulp_of_an_integer(monkeypatch):
+    cases = []
+    for seed, index, target in ((3, 10, 1), (3, 11, 1), (9, 1000, 7), (9, 1001, 1),
+                                (2**64 - 1, 77_777, 2**20), (0, 51, -3)):
+        z = rng.gaussian(seed, index)
+        sigma = (target - 0.5) / z
+        assert sigma > 0
+        for _ in range(20):
+            sigma = math.nextafter(sigma, 0)
+        # Each sigma near (target - 1/2) / z that puts sigma * z + 1/2 within
+        # one unit in the last place of target, below, on or above it.
+        found = {}
+        for _ in range(41):
+            y = sigma * z + 0.5
+            if abs(y - target) <= math.ulp(target):
+                found.setdefault((y > target) - (y < target), sigma)
+            sigma = math.nextafter(sigma, math.inf)
+        assert 0 in found
+        cases += [(seed, index, sigma) for sigma in found.values()]
+    want = [[math.floor(sigma * rng.gaussian(seed, i) + 0.5) for i in range(index // 2, 2 * index)]
+            for seed, index, sigma in cases]
+    calls = _libm_log_calls(monkeypatch)
+    for (seed, index, sigma), exact in zip(cases, want):
+        calls.clear()
+        assert rng.rounded_noise(seed, index // 2, 2 * index, sigma).tolist() == exact
+        assert rng.uniform(seed, 2 * index) in calls, (seed, index, sigma)
+
+
+def test_rounded_noise_libm_path_is_rare_then_total(monkeypatch):
+    calls = _libm_log_calls(monkeypatch)
+    rng.rounded_noise(0, 0, 1_000_000, 1.0)
+    assert len(calls) < 10
+    # From sigma = 2**29 the margin passes 1/2: every draw takes the libm path.
+    calls.clear()
+    rng.rounded_noise(0, 0, 10_000, 2.0**29)
+    assert len(calls) == 10_000
