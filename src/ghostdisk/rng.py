@@ -104,13 +104,16 @@ def rounded_noise(seed: int, lo: int, hi: int, sigma: float) -> np.ndarray:
     < 8.6``) moves by under ``2**-36``, and, with four roundings of at most
     ``2**-53 (8.6 sigma + 1.5)``, ``y = sigma * z + 0.5`` by under ``m =
     sigma * 2**-30 + 2**-50``.  So only a draw whose exact ``|y - round(y)|
-    <= m``, or a NaN, can change its floor; those take libm's.
+    <= m``, or a NaN, can change its floor; those take libm's (all, with no
+    numpy pass, once ``m >= 0.5``).
     """
     z = words(seed, 2 * lo, 2 * hi)
     u = ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
     u1, t = u[0::2], 2.0 * math.pi * u[1::2]
-    y = sigma * (np.sqrt(-2.0 * np.log(u1)) * np.cos(t)) + 0.5
-    near = ~(np.abs(y - np.round(y)) > sigma * 2.0**-30 + 2.0**-50)
+    y, near = np.empty_like(u1), slice(None)
+    if sigma * 2.0**-30 + 2.0**-50 < 0.5:
+        y = sigma * (np.sqrt(-2.0 * np.log(u1)) * np.cos(t)) + 0.5
+        near = ~(np.abs(y - np.round(y)) > sigma * 2.0**-30 + 2.0**-50)
     log_u1 = np.fromiter(map(math.log, u1[near].tolist()), np.float64)
     cos_t = np.fromiter(map(math.cos, t[near].tolist()), np.float64)
     y[near] = sigma * (np.sqrt(-2.0 * log_u1) * cos_t) + 0.5

@@ -45,16 +45,16 @@ it goes, or collects them into one ``SimulationResult``; streamed, a run
 holds O(``BLOCK_SLOTS`` + window + n^2) values, whatever its length.
 
 Both text exports, frame ``.txt`` files and ``bucket.csv``, spell their
-integers as whole arrays through one base-10**4 digit-group formatter;
-``bucket.csv``'s times are Python's ``repr`` of each slot's start.
+integers as whole arrays through one base-10**4 digit-group formatter.
+``bucket.csv``'s times are each slot start's ``repr``: for times in [1e-4,
+2**50) its shortest round-trip digits come from exact integer array
+arithmetic (``_decimal_cells``), and only the rest call ``repr`` itself.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,6 +94,7 @@ NOISE_SIGMA_MAX = 5e17
 # Slots per block of bucket products, noise and accumulator updates; bounds
 # the per-block temporaries.
 BLOCK_SLOTS = 4096
+CSV_ROWS = BLOCK_SLOTS // 4  # bucket.csv rows formatted and written at once
 
 # Frame values handed to a sink per call (4 frames at n = 35, one frame at
 # n = 155): bounds the frames held at once and the exporters' temporaries,
@@ -304,6 +305,7 @@ def _bucket_blocks(
     hold = trajectory.hold_interval or slot_dt
     velocity = trajectory.velocity if trajectory.mode == "linear" else (0, 0)
     axes = [(1 if v > 0 else -1, _pose_steps(v, hold, slot_dt, n, slot_count)) for v in velocity]
+    matrix = patterns.patterns.astype(np.int32)  # 0/1: buckets <= 255 * n_cell fit int32
     # Every temporary dies before the yield: a suspended walk holds none.
     for b_lo in range(0, slot_count, BLOCK_SLOTS):
         b_hi = min(b_lo + BLOCK_SLOTS, slot_count)
@@ -311,8 +313,8 @@ def _bucket_blocks(
         dx, dy = (sign * np.searchsorted(steps, slots, "right") for sign, steps in axes)
         j = slots % per_rev
         cells = win[schedule.rows[j] - dy + n, schedule.cells[j] * n_cell - dx + n]
-        rows = patterns.patterns[schedule.pattern_index[j], None]  # (slots, 1, n_cell)
-        buckets = (rows @ cells.reshape(-1, n_cell, 3))[:, 0]  # exact int64 products
+        rows = matrix[schedule.pattern_index[j], None]  # (slots, 1, n_cell)
+        buckets = (rows @ cells.reshape(-1, n_cell, 3).astype(np.int32))[:, 0].astype(np.int64)
         del slots, dx, dy, j, cells, rows
         if sigma > 0:
             buckets += rng.rounded_noise(seed, 3 * b_lo, 3 * b_hi, sigma).reshape(-1, 3)
@@ -603,33 +605,98 @@ def write_frame_txt(images: np.ndarray, paths) -> None:
             fh.write(data)
 
 
+def _decimal_cells(t: np.ndarray) -> np.ndarray:
+    """Zero-padded cells of ``repr(x) + ","`` for each float ``x`` of ``t``, in ``[1e-4, 2**50)``.
+
+    ``repr`` spells there the shortest digits nearest ``x = m 2**e`` (``2**52 <=
+    m < 2**53``; ties to even) strictly between ``(4m -+ 2) 2**(e-2)`` (``4m - 1``
+    if ``m = 2**52``).  Times ``10**b``, ``b = 17 - floor((e + 52) log10 2)``
+    (exactly ``(e + 52) * 78913 >> 18`` here; ``floor(log10 x)`` or one less),
+    which puts the scaled ``x`` in ``[10**17, 2 10**18)``, these are ``N 5**b /
+    2**sh < 2**61``, ``sh = 2 - e - b``, with ``3 <= b <= 22`` and ``2 <= sh <=
+    46``: the float ``D = floor(x * 10**b)`` is within ``2**9``, so ``R = 4m 5**b
+    - D 2**sh``, below ``2**56``, is exact in wrapping uint64.  It gives the
+    scaled ``x`` as ``v + r / 2**sh``, the bounds' floors as ``v + ((r -+ 2 5**b)
+    >> sh)``, and, as ``N`` is odd or twice odd, no bound is an integer at any
+    scale used.  The interval, wider than 11, keeps a multiple of ``10**d`` for
+    the most ``d >= 1`` (bisection: fewer always do); the scaled ``x`` rounds half
+    to even there (``r`` tells a tie), moves back inside, and spells as its whole
+    part by ``_int_cells`` and its fraction, leading pad zeroed, by inner
+    ``_group_spellings()`` entries.
+    """
+    frac, exp = np.frexp(t)
+    m = (frac * 2.0**53).astype(np.int64)
+    b = 17 - ((exp - 1) * 78913 >> 18)
+    sh = 55 - exp - b
+    five = np.array([5**i for i in range(23)])[b]
+    est = (t * np.ldexp(five.astype(np.float64), b)).astype(np.int64)
+    r = (4 * m).view(np.uint64) * five.view(np.uint64)  # wraps modulo 2**64 on purpose
+    r -= est.view(np.uint64) << sh.astype(np.uint64)
+    v = est + (r.view(np.int64) >> sh)
+    r = r.view(np.int64) - ((v - est) << sh)
+    lo, hi = (v + ((r + c * five) >> sh) for c in ((m == 2**52) - 2, 2))  # the bounds' floors
+    p10 = np.array([10 ** min(i, 18) for i in range(32)])  # no multiple of 10**19 is < 2**61
+    d = np.zeros_like(v)
+    for step in (16, 8, 4, 2, 1):
+        p = p10[d + step]
+        d += step * (hi - hi % p > lo)
+    p = p10[d]
+    q, rem = np.divmod(v, p)
+    q += 2 * rem + (r != 0) + q % 2 > p
+    q += q * p <= lo
+    q -= q * p > hi
+    k = np.minimum(d, 18) - b
+    whole, part = np.divmod(q * p10[np.maximum(k, 0)], p10[np.maximum(-k, 0)])
+    groups = max(1, -(-int(-k.min()) // 4))
+    idx = np.empty((len(t), groups), dtype=np.intp)
+    for col in range(groups - 1, -1, -1):
+        part, idx[:, col] = np.divmod(part, 10_000)
+    keep = np.arange(4 * groups) >= 4 * groups - np.arange(32)[:, None]
+    digits = _group_spellings()[idx + _INNER].view(np.uint8) * keep[np.maximum(-k, 1)]
+    comma = np.full((len(t), 1), ord(","), dtype=np.uint8)
+    return np.concatenate([_int_cells(whole, ord(".")), digits, comma], axis=1)
+
+
+def _time_cells(s_lo: int, s_hi: int, num: int, den: int) -> np.ndarray:
+    """Zero-padded cells of ``repr(s * num / den) + ","`` for slots ``s_lo .. s_hi-1``.
+
+    While ``s * num`` and ``den`` stay below ``2**53`` one float division is
+    Python's correctly rounded ``int / int``; times in ``[1e-4, 2**50)`` then take
+    ``_decimal_cells``, and the rest ``repr``, at most 24 bytes with its comma.
+    """
+    exact = (s_hi - 1) * num < 2**53 and den < 2**53
+    t = np.arange(s_lo, s_hi) * float(num) / den if exact else np.zeros(s_hi - s_lo)
+    fast = (t >= 1e-4) & (t < 2.0**50)
+    cells = _decimal_cells(np.where(fast, t, 1.0))
+    slow = np.flatnonzero(~fast).tolist()
+    if slow:
+        cells = np.pad(cells, ((0, 0), (0, max(0, 24 - cells.shape[1]))))
+        text = [repr((s_lo + i) * num / den) + "," for i in slow]
+        cells[slow] = np.array(text, f"S{cells.shape[1]}").view(np.uint8).reshape(len(slow), -1)
+    return cells
+
+
 def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
     """Write ``t,slot,red,green,blue`` rows, times as decimal seconds.
 
     Row ``i`` of ``trace.buckets`` is slot ``first_slot + i``.  From slot 0
     the file is created with its header; a later first slot appends to it,
     so a run written block by block gives the same bytes as a whole trace.
-    ``s * num / den`` divides Python ints with correct rounding, so each
-    time is ``repr(float(s * slot_dt))``; the other columns are base-10
-    integers from ``_int_cells``.  Each ``BLOCK_SLOTS`` rows become one
-    array of fixed-width cells, compacted and written.
+    Each time is ``repr(s * num / den)``, the correctly rounded float of
+    ``s * slot_dt``, spelt by ``_time_cells``; the other columns are base-10
+    integers from ``_int_cells``.  Each ``CSV_ROWS`` rows become one array of
+    fixed-width cells, compacted and written.
     """
     num, den = trace.slot_dt.numerator, trace.slot_dt.denominator
     buckets = np.asarray(trace.buckets, dtype=np.int64)
     with open(path, "ab" if first_slot else "wb") as fh:
         if not first_slot:
             fh.write(b"t,slot,red,green,blue\n")
-        for lo in range(0, len(buckets), BLOCK_SLOTS):
-            block = buckets[lo : lo + BLOCK_SLOTS]
+        for lo in range(0, len(buckets), CSV_ROWS):
+            block = buckets[lo : lo + CSV_ROWS]
             s_lo, s_hi = first_slot + lo, first_slot + lo + len(block)
-            times = map(operator.truediv, range(s_lo * num, s_hi * num, num), itertools.repeat(den))
-            text = np.frombuffer((",".join(map(repr, times)) + ",").encode("ascii"), np.uint8)
-            # Each time and its comma, left-aligned in one zero-padded cell.
-            size = np.diff(np.flatnonzero(text == ord(",")), prepend=-1)
-            stamp = np.zeros((len(block), size.max()), dtype=np.uint8)
-            stamp[np.arange(stamp.shape[1]) < size[:, None]] = text
             slots = _int_cells(np.arange(s_lo, s_hi, dtype=np.int64), ord(","))
             rgb = _int_cells(block.reshape(-1), ord(",")).reshape(len(block), -1)
             rgb[:, -1] = ord("\n")
-            cells = np.concatenate([stamp, slots, rgb], axis=1)
+            cells = np.concatenate([_time_cells(s_lo, s_hi, num, den), slots, rgb], axis=1)
             fh.write(cells[cells != 0].tobytes())

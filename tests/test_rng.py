@@ -210,3 +210,27 @@ def test_rounded_noise_libm_path_is_rare_then_total(monkeypatch):
     calls.clear()
     rng.rounded_noise(0, 0, 10_000, 2.0**29)
     assert len(calls) == 10_000
+
+
+@pytest.mark.parametrize("sigma", [2.0**29, 1e17])
+def test_rounded_noise_skips_numpy_pass_when_every_draw_is_flagged(monkeypatch, sigma):
+    seed, lo, hi = 6, 4_000, 9_000
+    exact = [math.floor(sigma * rng.gaussian(seed, i) + 0.5) for i in range(lo, hi)]
+
+    def unused(x):
+        raise AssertionError("numpy pass ran although every draw takes libm's")
+
+    monkeypatch.setattr(np, "log", unused)
+    monkeypatch.setattr(np, "cos", unused)
+    assert rng.rounded_noise(seed, lo, hi, sigma).tolist() == exact
+
+
+def test_rounded_noise_keeps_numpy_pass_below_half_margin(monkeypatch):
+    # The largest sigma whose margin sigma * 2**-30 + 2**-50 stays below 1/2.
+    sigma = math.nextafter((0.5 - 2.0**-50) * 2.0**30, 0)
+    assert sigma * 2.0**-30 + 2.0**-50 < 0.5
+    calls, log = [], np.log
+    monkeypatch.setattr(np, "log", lambda x: calls.append(len(x)) or log(x))
+    exact = [math.floor(sigma * rng.gaussian(2, i) + 0.5) for i in range(300)]
+    assert rng.rounded_noise(2, 0, 300, sigma).tolist() == exact
+    assert calls == [300]

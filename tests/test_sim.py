@@ -8,6 +8,7 @@ import itertools
 import math
 import tempfile
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -1117,6 +1118,10 @@ def _bucket_values():
         st.builds(Fraction, st.integers(1, 10**3), st.integers(10**28, 10**31)),  # e-28 times
         st.just(Fraction(1, 49 * 7**30)),
         st.builds(Fraction, st.integers(10**16, 10**20), st.integers(1, 7)),  # times >= 1e16
+        # Denominators on either side of 2**53, where times leave the float path.
+        st.builds(Fraction, st.integers(1, 10**3), st.integers(2**53 - 64, 2**53 + 64)),
+        # Numerators with which s * num reaches 2**53 at slots 9,960 to 10,040.
+        st.builds(Fraction, st.integers(2**53 // 10_040, 2**53 // 9_960), st.integers(9, 10**6)),
     ),
     split=st.integers(0, 40),
 )
@@ -1143,6 +1148,100 @@ def test_bucket_csv_over_several_blocks_equals_per_row_oracle(tmp_path):
     assert path.read_bytes() == bucket_csv_oracle(trace, 5_000)
     sim.write_bucket_csv(trace, path)
     assert path.read_bytes() == bucket_csv_oracle(trace)
+
+
+def time_cells_text(s_lo, s_hi, num, den):
+    cells = sim._time_cells(s_lo, s_hi, num, den)
+    return cells[cells != 0].tobytes().decode("ascii")
+
+
+def decimal_cells_text(times):
+    cells = sim._decimal_cells(np.asarray(times, dtype=np.float64))
+    return cells[cells != 0].tobytes().decode("ascii")
+
+
+def repr_text(times):
+    return "".join(repr(t) + "," for t in times)
+
+
+@pytest.mark.parametrize("slot_dt,slot_count", [
+    (Fraction(1, 5 * 155 * 155), 2 * 155 * 155),  # the noisy_155 benchmark run
+    (Fraction(1, 5 * 35 * 35), 2 * 35 * 35),  # the sliding_motion benchmark run
+])
+def test_time_cells_equal_repr_of_every_benchmark_time(slot_dt, slot_count):
+    num, den = slot_dt.numerator, slot_dt.denominator
+    got = "".join(
+        time_cells_text(lo, min(lo + sim.CSV_ROWS, slot_count), num, den)
+        for lo in range(0, slot_count, sim.CSV_ROWS)
+    )
+    assert got == repr_text(s * num / den for s in range(slot_count))
+
+
+def test_time_cells_take_repr_only_outside_the_float_range(monkeypatch):
+    # noisy_155: slot 0 (time 0.0) and slots 1-12 (below 1e-4, written in
+    # scientific notation) take repr; the 48,037 others take the array path.
+    calls, builtin = [], repr
+    monkeypatch.setattr(sim, "repr", lambda x: calls.append(x) or builtin(x), raising=False)
+    text = time_cells_text(0, 2 * 155 * 155, 1, 5 * 155 * 155)
+    assert len(calls) == 13 and calls == [s / 120125 for s in range(13)]
+    assert text.startswith("0.0,8.324661810613944e-06,") and "9.989594172736733e-05,0.0001082206" in text
+
+
+@pytest.mark.parametrize("s_lo,s_hi,num,den,fast", [
+    (0, 3, 1, 10**4, [False, True, True]),  # 0.0, then 1e-4 itself
+    (0, 3, 1, 10**4 + 1, [False, False, True]),  # 1 / 10001 < 1e-4
+    (2**50 - 2, 2**50 + 1, 1, 1, [True, True, False]),  # 2**50 - 1, then 2**50
+    # A block whose last s * num reaches 2**53 takes repr throughout.
+    (2**53 // 3 - 2, 2**53 // 3 + 1, 3, 2**6, [True, True, True]),
+    (2**53 // 3 - 1, 2**53 // 3 + 2, 3, 2**6, [False, False, False]),
+    (10**13, 10**13 + 1, 1, 2**53 - 1, [True]),
+    (10**13, 10**13 + 1, 1, 2**53, [False]),  # den reaches 2**53
+])
+def test_time_cells_edges_of_the_float_range(monkeypatch, s_lo, s_hi, num, den, fast):
+    calls, builtin = [], repr
+    monkeypatch.setattr(sim, "repr", lambda x: calls.append(x) or builtin(x), raising=False)
+    times = [s * num / den for s in range(s_lo, s_hi)]
+    assert time_cells_text(s_lo, s_hi, num, den) == repr_text(times)
+    assert calls == [t for t, f in zip(times, fast) if not f]
+
+
+def test_decimal_cells_equal_repr_on_random_floats():
+    gen = np.random.default_rng(14)
+    lo, hi = np.array([1e-4, 2.0**50]).view(np.int64)
+    bits = gen.integers(lo, hi, 500_000, dtype=np.int64).view(np.float64)
+    log_uniform = 10 ** gen.uniform(-4, math.log10(2**50), 520_000)
+    log_uniform = log_uniform[(log_uniform >= 1e-4) & (log_uniform < 2**50)]
+    for times in (bits, log_uniform):
+        assert decimal_cells_text(times) == repr_text(times.tolist())
+
+
+def test_decimal_cells_equal_repr_on_edge_floats():
+    # Powers of two, whose lower half-interval is half as wide.
+    powers = [2.0**e for e in range(-13, 50)]
+    assert powers[0] > 1e-4 > powers[0] / 2
+    # Neighbours of powers of ten, where floor(log10 t) may come out one off.
+    tens = [10.0**j for j in range(-4, 16)]
+    near = [math.nextafter(x, d) for x in tens for d in (0, math.inf)]
+    near += [math.nextafter(x, d) for x in near for d in (0, math.inf)]
+    near = [x for x in near if 1e-4 <= x]
+    # The ends of the range, short decimals, and integers.
+    edges = [1e-4, math.nextafter(2.0**50, 0), 2.0**50 - 1, 2.0**49, 0.1, 0.3, 0.5, 1.0, 100.0,
+             123456789012345.0, 999999999999999.9, 0.00010000000000000002]
+    times = powers + tens + near + edges
+    assert decimal_cells_text(times) == repr_text(times)
+
+
+def test_decimal_cells_round_exact_ties_to_even():
+    # Floats whose exact decimal has 18 significant digits, the last a 5: two
+    # 17-digit strings read back as each, equally near, and repr takes the even one.
+    ties = [1 + j * 2**-17 for j in range(1, 2**12, 2)]
+    ties += [1000 + j * 2**-14 for j in range(1, 2**12, 2)]
+    ties += [2**40 + j * 2**-5 for j in range(1, 2**10, 2)]
+    for t in ties:
+        digits = format(Decimal(t), "f").replace(".", "").strip("0")
+        assert len(digits) == 18 and digits[-1] == "5", t
+        assert len(repr(t).replace(".", "").strip("0")) == 17, t
+    assert decimal_cells_text(ties) == repr_text(ties)
 
 
 @settings(max_examples=60, deadline=None)
