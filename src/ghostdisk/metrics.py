@@ -24,7 +24,7 @@ y = (c_max - c_min) * x + c_min * sum(x) is undone in integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,7 +45,6 @@ __all__ = [
     "cell_slice",
     "cell_report_contrast",
     "affine_invert",
-    "ReportRow",
     "frame_report",
     "write_report_csv",
 ]
@@ -205,27 +204,20 @@ def affine_invert(
 
 
 # ---------------------------------------------------------------------------
-# Per-cell contrast report.
+# Per-cell contrast report: report.csv rows of plain fields, None for no prediction.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    region: str
-    channel: str
-    n_obj: int
-    predicted: Fraction | None
-    measured: Fraction
 
 
 def frame_report(
     image: np.ndarray, scene_pixels: np.ndarray, spec: PartitionSpec
-) -> list[ReportRow]:
-    """Predicted and measured contrast per cell and channel, then full frame.
+) -> list[tuple]:
+    """The rows of ``report.csv``: per cell and channel, then full frame.
 
-    ``scene_pixels`` is the object as seen during the frame; a cell whose
-    lit pixels share one level gets the binary prediction, a cell with
-    mixed nonzero levels gets none.
+    Each row is ``(region, channel, n_obj, predicted_num, predicted_den,
+    measured_num, measured_den)`` of plain ints.  ``scene_pixels`` is the
+    object as seen during the frame; a cell whose lit pixels share one
+    level gets the binary prediction, one with mixed nonzero levels and
+    the full frame get none: ``None, None``.
     """
     n, k, n_cell = spec.n, spec.k, spec.n_cell
     scene = np.asarray(scene_pixels, dtype=np.int64)
@@ -239,55 +231,38 @@ def frame_report(
     hi, lo = values.max(axis=2), values.min(axis=2)
     if np.any((lo < 0) & (n_obj > 0) & (n_obj < n_cell)):
         raise ValueError("contrast is defined for nonnegative values")
-    predicted = {m: predicted_contrast_reduced(n_cell, m) for m in set(n_obj[one_level].tolist())}
-    predicted[0] = Fraction(0)
-    full = predicted_contrast_cell(n_cell) if np.any((n_obj == n_cell) & (hi != 0)) else None
+    predicted = {
+        m: predicted_contrast_reduced(n_cell, m).as_integer_ratio()
+        for m in set(n_obj[one_level].tolist())
+    }
+    predicted[0] = (0, 1)
+    lit_full = np.any((n_obj == n_cell) & (hi != 0))
+    full = predicted_contrast_cell(n_cell).as_integer_ratio() if lit_full else None
 
-    rows: list[ReportRow] = []
+    rows = []
     for (row, cell, channel), count, same, top, bottom in zip(
         np.ndindex(n, k, 3), *(a.ravel().tolist() for a in (n_obj, one_level, hi, lo))
     ):
-        # As cell_report_contrast: raw extrema for a partly lit cell, the
-        # model value for a fully lit one, 0 when empty or dark (a partly lit
-        # cell with a negative value was refused above).
+        # As cell_report_contrast, in Python ints exact past int64: raw extrema
+        # for a partly lit cell, the model value for a fully lit one, 0 when
+        # empty or dark (a partly lit cell with a negative value was refused above).
         if count == 0 or top == 0:
-            measured = Fraction(0)
+            measured = (0, 1)
         elif count == n_cell:
             measured = full
         else:
-            measured = Fraction(top - bottom, top + bottom)
-        rows.append(
-            ReportRow(
-                region=f"r{row}c{cell}",
-                channel=CHANNEL_NAMES[channel],
-                n_obj=count,
-                predicted=predicted[count] if count == 0 or same else None,
-                measured=measured,
-            )
-        )
+            g = math.gcd(top - bottom, top + bottom)
+            measured = ((top - bottom) // g, (top + bottom) // g)
+        pred = predicted[count] if count == 0 or same else (None, None)
+        rows.append((f"r{row}c{cell}", CHANNEL_NAMES[channel], count, *pred, *measured))
     for channel, channel_name in enumerate(CHANNEL_NAMES):
-        channel_scene = scene[:, :, channel]
-        rows.append(
-            ReportRow(
-                region="full",
-                channel=channel_name,
-                n_obj=int(np.count_nonzero(channel_scene)),
-                predicted=None,
-                measured=measured_contrast(image[:, :, channel]),
-            )
-        )
+        measured = measured_contrast(image[:, :, channel]).as_integer_ratio()
+        count = int(np.count_nonzero(scene[:, :, channel]))
+        rows.append(("full", channel_name, count, None, None, *measured))
     return rows
 
 
-def write_report_csv(rows: list[ReportRow], path) -> None:
+def write_report_csv(rows: list[tuple], path) -> None:
     lines = ["region,channel,n_obj,predicted_num,predicted_den,measured_num,measured_den"]
-    for row in rows:
-        if row.predicted is None:
-            pred = ","
-        else:
-            pred = f"{row.predicted.numerator},{row.predicted.denominator}"
-        lines.append(
-            f"{row.region},{row.channel},{row.n_obj},{pred},"
-            f"{row.measured.numerator},{row.measured.denominator}"
-        )
+    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))

@@ -249,7 +249,7 @@ def simulate(
 
     blocks = _bucket_blocks(scene, trajectory, schedule, patterns, slot_dt, slot_count,
                             float(noise_sigma), seed)
-    parts = _windows(schedule, patterns.patterns, timing, blocks)
+    parts = _windows(schedule, patterns.patterns, timing, blocks, window_slots)
     if sink is not None:
         for part in parts:
             sink(*part)
@@ -378,6 +378,7 @@ def _windows(
     matrix: np.ndarray,  # (n_cell, n_cell) 0/1 patterns
     timing: TimingConfig,
     blocks: Iterable[tuple[int, np.ndarray]],
+    keep: int,
 ) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     """Exposure frames of either window mode, from one running accumulator.
 
@@ -391,9 +392,9 @@ def _windows(
     and both bounds only grow from one window to the next: the accumulator
     adds the slots that enter, as their blocks arrive, and subtracts those
     that leave, and starts over from zero when a window shares no slot with
-    the one before.  A leaving slot is at most ``window_slots`` before the
-    block that drops it, so sliding windows keep that many buckets from
-    earlier blocks; tumbling windows never share a slot and keep none.
+    the one before.  A leaving slot is at most ``keep`` (``window_slots``)
+    before the block that drops it, so sliding windows keep that many
+    buckets from earlier blocks; tumbling windows never share a slot.
     """
     spec = schedule.spec
     per_rev = spec.slots_per_revolution
@@ -406,10 +407,8 @@ def _windows(
     chunk = max(1, BLOCK_SLOTS // spec.n_cell)
     matrix_t = np.ascontiguousarray(matrix.T)
     batch = np.empty((max(1, FRAME_BLOCK_VALUES // (3 * per_rev)), spec.n, spec.n, 3), np.int64)
-    keep = 0
-    if timing.window_mode == "sliding" and count:
-        slot_count = math.ceil(timing.total_duration / slot_dt)
-        keep = min(math.ceil(window / slot_dt), slot_count)
+    if timing.window_mode == "tumbling":
+        keep = 0
     # Slot s sits in history[s - first], for the current block and the `keep`
     # slots before it; each block shifts the last `keep` rows to the front.
     history = np.zeros((keep + BLOCK_SLOTS, 3), dtype=np.int64)
@@ -418,7 +417,10 @@ def _windows(
     def add(lo: int, hi: int, sign: int) -> None:
         # Slot s plays schedule position s % per_rev, and no position repeats
         # within a revolution: sum whole revolutions per position, then add
-        # each part by plain fancy +=, BLOCK_SLOTS positions at a time.
+        # each part by plain fancy +=.  Entering slots lie in the current
+        # block (cur_hi == b_lo as it starts), and leaving ranges hold at most
+        # one slot (sliding windows step by one slot, tumbling ones never
+        # overlap), so no range spans more than BLOCK_SLOTS slots.
         head = min(-(-lo // per_rev) * per_rev, hi)
         tail = max(hi // per_rev * per_rev, head)
         for s_lo, s_hi in ((lo, head), (head, tail), (tail, hi)):
@@ -428,11 +430,9 @@ def _windows(
             span = (s_hi - s_lo) // revs
             part = history[s_lo - first : s_hi - first].reshape(revs, span, 3)
             j = slice(s_lo % per_rev, s_lo % per_rev + span)
-            rows, cols, pats = schedule.rows[j], schedule.cells[j], schedule.pattern_index[j]
-            for p in range(0, span, BLOCK_SLOTS):
-                q = slice(p, p + BLOCK_SLOTS)
-                sums[rows[q], cols[q], pats[q]] += sign * part[:, q].sum(axis=0)
-                touched[rows[q], cols[q]] = True
+            rows, cols = schedule.rows[j], schedule.cells[j]
+            sums[rows, cols, schedule.pattern_index[j]] += sign * part.sum(axis=0)
+            touched[rows, cols] = True
 
     def project() -> None:
         # acc += R^T @ dB over the touched cells only, chunk cells at a time.

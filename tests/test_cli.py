@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -293,6 +294,37 @@ def test_report_frames_match_full_simulation(tmp_path, mode, motion):
         want = tmp_path / f"oracle_{f}.csv"
         metrics.write_report_csv(metrics.frame_report(frame.image, seen.pixels, spec), want)
         assert got.read_bytes() == want.read_bytes(), f
+
+
+# sha256 of report.csv for frame 0 of each benchmark workload's run at seed 1
+# (sliding_motion's seeded letter is T), recorded from `ghostdisk report`.
+RECORDED_REPORTS = {
+    "noisy_155": (
+        {"n": "155", "k": "5", "total_duration": "2/5", "noise_sigma": "1.0", "seed": "1"},
+        "7cb5b1a0172b1a410ff994fbaee876028204789626b3db9957998552c896ab54",
+    ),
+    "sliding_motion": (
+        {"n": "35", "k": "5", "letter": "T", "total_duration": "2/5", "window_mode": "sliding",
+         "trajectory": "linear", "velocity_x": "3", "velocity_y": "-2"},
+        "6cd7ba6f4787f75837c97a3727e6ee870cb0f914088aa7712f2c5913220a8852",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_REPORTS))
+def test_report_csv_matches_recorded_bytes(tmp_path, name):
+    layer, digest = RECORDED_REPORTS[name]
+    cfg = config.merge_config(layer)
+    spec, patterns, schedule, obj, traj, timing = config.resolve_components(cfg)
+    # As report does: the run cut at frame 0's end ends with that frame.
+    cut = dataclasses.replace(timing, total_duration=timing.persistence_window)
+    (frame,) = sim.simulate(
+        obj, traj, schedule, patterns, cut, noise_sigma=cfg.noise_sigma, seed=cfg.seed
+    ).frames
+    path = tmp_path / "report.csv"
+    seen = scene.sample_scene(obj, traj, 0)
+    metrics.write_report_csv(metrics.frame_report(frame.image, seen.pixels, spec), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_report_checks_stored_frame(tmp_path, capsys):

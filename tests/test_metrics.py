@@ -245,20 +245,13 @@ def test_frame_report_rows_and_predictions():
     rows = metrics.frame_report(frame, obj.pixels, spec)
     # 7 cells x 3 channels + 3 full-frame rows.
     assert len(rows) == 24
-    assert rows[-1].region == "full"
-    by_key = {(r.region, r.channel): r for r in rows}
-    top_blue = by_key[("r0c0", "blue")]
-    assert top_blue.n_obj == 7
-    assert top_blue.predicted == Fraction(1, 8)
-    assert top_blue.measured == Fraction(1, 8)
-    top_red = by_key[("r0c0", "red")]
-    assert top_red.n_obj == 0
-    assert top_red.predicted == 0
-    assert top_red.measured == 0
-    stem_blue = by_key[("r2c0", "blue")]
-    assert stem_blue.n_obj == 1
-    assert stem_blue.predicted == Fraction(1, 2)
-    assert stem_blue.measured == Fraction(1, 2)
+    assert rows[-1][0] == "full"
+    assert all(type(v) in (str, int, type(None)) for row in rows for v in row)
+    by_key = {row[:2]: row[2:] for row in rows}
+    # (n_obj, predicted_num, predicted_den, measured_num, measured_den)
+    assert by_key[("r0c0", "blue")] == (7, 1, 8, 1, 8)
+    assert by_key[("r0c0", "red")] == (0, 0, 1, 0, 1)
+    assert by_key[("r2c0", "blue")] == (1, 1, 2, 1, 2)
 
 
 def test_frame_report_gray_cells_have_no_prediction():
@@ -268,15 +261,19 @@ def test_frame_report_gray_cells_have_no_prediction():
     pixels[1, 1, 0] = 200
     frame = one_revolution_frame(spec, patterns, schedule, pixels)
     rows = metrics.frame_report(frame, pixels, spec)
-    row = next(r for r in rows if r.region == "r1c0" and r.channel == "red")
-    assert row.predicted is None
-    assert row.n_obj == 2
+    row = next(r for r in rows if r[:2] == ("r1c0", "red"))
+    assert row[2:5] == (2, None, None)
+    assert row[5:] == metrics.cell_report_contrast(frame, spec, 1, 0, 0, 2).as_integer_ratio()
 
 
 def report_rows_oracle(image, pixels, spec):
-    """``frame_report`` as a plain loop over ``cell_report_contrast``."""
+    """``frame_report`` as a plain loop over ``cell_report_contrast``'s Fractions."""
     rows = []
     values = np.asarray(pixels, dtype=np.int64)
+
+    def fields(fraction):
+        return (None, None) if fraction is None else (fraction.numerator, fraction.denominator)
+
     for row in range(spec.n):
         for cell in range(spec.k):
             r, cols = metrics.cell_slice(spec, row, cell)
@@ -289,16 +286,16 @@ def report_rows_oracle(image, pixels, spec):
                 else:
                     predicted = None
                 measured = metrics.cell_report_contrast(image, spec, row, cell, channel, lit.size)
-                rows.append(metrics.ReportRow(f"r{row}c{cell}", name, lit.size, predicted, measured))
+                rows.append((f"r{row}c{cell}", name, lit.size, *fields(predicted),
+                             *fields(measured)))
     for channel, name in enumerate(scene.CHANNEL_NAMES):
-        rows.append(metrics.ReportRow(
-            "full", name, int(np.count_nonzero(values[:, :, channel])), None,
-            metrics.measured_contrast(image[:, :, channel]),
-        ))
+        measured = metrics.measured_contrast(image[:, :, channel])
+        count = int(np.count_nonzero(values[:, :, channel]))
+        rows.append(("full", name, count, None, None, *fields(measured)))
     return rows
 
 
-@pytest.mark.parametrize("frame_kind", ["correlation", "random"])
+@pytest.mark.parametrize("frame_kind", ["correlation", "random", "past_int64"])
 def test_frame_report_matches_per_cell_loop(frame_kind):
     spec, patterns, schedule = make_setup(n=14, k=2)
     gen = np.random.default_rng(4)
@@ -310,17 +307,28 @@ def test_frame_report_matches_per_cell_loop(frame_kind):
     pixels[5:] = gen.integers(0, 3, size=(9, 14, 3)) * 70  # a mix of all of them
     if frame_kind == "correlation":
         frame = one_revolution_frame(spec, patterns, schedule, pixels)
-    else:
+    elif frame_kind == "random":
         frame = gen.integers(0, 1000, size=(14, 14, 3))
         frame[6, :7] = 0  # dark cells: partly lit and fully lit ones
         frame[1, :7, 1] = 0
         frame[3, :7] = 17  # flat cells
+    else:
+        # Any partly lit cell's max + min passes 2**63: exact only in Python ints.
+        frame = gen.integers(2**62, 2**63 - 1, size=(14, 14, 3), dtype=np.int64, endpoint=True)
+        frame[3, :7] = 2**63 - 1  # flat cells
     rows = metrics.frame_report(frame, pixels, spec)
     assert rows == report_rows_oracle(frame, pixels, spec)
-    kinds = {(r.n_obj == 0, r.n_obj == spec.n_cell, r.predicted is None) for r in rows[:-3]}
+    # (empty, fully lit, no prediction) per cell row.
+    kinds = {(r[2] == 0, r[2] == spec.n_cell, r[3] is None) for r in rows[:-3]}
     assert kinds == {(True, False, False), (False, True, False), (False, True, True),
                      (False, False, False), (False, False, True)}
+    if frame_kind == "past_int64":
+        assert max(r[6] for r in rows) > 2**63
     frame[4, 8, 0] = -1  # inside a partly lit cell
+    for report in (metrics.frame_report, report_rows_oracle):
+        with pytest.raises(ValueError, match="nonnegative"):
+            report(frame, pixels, spec)
+    frame[4, 7:, 0] = -gen.integers(1, 2**62, size=7)  # the whole partly lit cell
     for report in (metrics.frame_report, report_rows_oracle):
         with pytest.raises(ValueError, match="nonnegative"):
             report(frame, pixels, spec)
@@ -328,13 +336,15 @@ def test_frame_report_matches_per_cell_loop(frame_kind):
 
 def test_report_csv_format(tmp_path):
     rows = [
-        metrics.ReportRow("r0c0", "red", 2, Fraction(1, 3), Fraction(1, 3)),
-        metrics.ReportRow("full", "blue", 5, None, Fraction(7, 9)),
+        ("r0c0", "red", 2, 1, 3, 1, 3),
+        ("r1c0", "green", 7, 1, 8, 2**64 + 1, 2**65 + 3),
+        ("full", "blue", 5, None, None, 7, 9),
     ]
     path = tmp_path / "report.csv"
     metrics.write_report_csv(rows, path)
     assert path.read_text() == (
         "region,channel,n_obj,predicted_num,predicted_den,measured_num,measured_den\n"
         "r0c0,red,2,1,3,1,3\n"
+        "r1c0,green,7,1,8,18446744073709551617,36893488147419103235\n"
         "full,blue,5,,,7,9\n"
     )

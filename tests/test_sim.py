@@ -557,7 +557,8 @@ def window_pass(schedule, matrix, timing, buckets):
     blocks = [
         (lo, buckets[lo : lo + sim.BLOCK_SLOTS]) for lo in range(0, len(buckets), sim.BLOCK_SLOTS)
     ]
-    for _, _, frame_lo, images in sim._windows(schedule, matrix, timing, blocks):
+    keep = min(math.ceil(timing.persistence_window / slot_dt), len(buckets))
+    for _, _, frame_lo, images in sim._windows(schedule, matrix, timing, blocks, keep):
         out[frame_lo : frame_lo + len(images)] = images
     return out
 
