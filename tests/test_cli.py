@@ -327,6 +327,38 @@ def test_report_csv_matches_recorded_bytes(tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of bucket.csv and of the frame .txt and .ppm files (each file's name,
+# a zero byte and its bytes, in name order) of each benchmark workload's run at
+# seed 1, recorded from `ghostdisk simulate`.
+RECORDED_RUNS = {
+    "noisy_155": (
+        "48966591b3aa760e82d07dee8cc31a461d6a8483e2e48b48f01fec70940c0947",
+        "17896f0a279734d04d66b3688cf7826edfcc82094a4a2357a00c69524f6fbf69",
+        "6d2430fd0e5c7344df3d9c6a486f9b50d7c3e8b9273f6f64a9e3eb82ab1e2f3f",
+    ),
+    "sliding_motion": (
+        "5e1142438d7b6c02631d683a233136d78a33bd0a897d3aeb18fbfd07f6c60bf9",
+        "cc0d84ccdaaed47f6aeefe40f6ac151f0c5904e6a6884d6646009bbcda4d8469",
+        "1b25f8a4e3e0877bfad138a4748176b53db61a4634e9a0310bb4f6353d9886e4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_RUNS))
+def test_run_files_match_recorded_bytes(tmp_path, name):
+    layer, _ = RECORDED_REPORTS[name]
+    out = tmp_path / "run"
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in layer.items()]
+    assert main(["simulate", *flags, "--out", str(out)]) == 0
+    digests = [hashlib.sha256((out / "bucket.csv").read_bytes()).hexdigest()]
+    for suffix in ("txt", "ppm"):
+        digest = hashlib.sha256()
+        for path in sorted(out.glob(f"frame_*.{suffix}")):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        digests.append(digest.hexdigest())
+    assert tuple(digests) == RECORDED_RUNS[name]
+
+
 def test_report_checks_stored_frame(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", *FAST, "--noise-sigma", "2", "--out", str(out)]) == 0
