@@ -143,6 +143,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(cfg.out_dir)
     stem = str(out / "frame_")
     slot_dt = timing.slot_duration(spec.slots_per_revolution)
+    manifest = config_text(cfg).encode("ascii")
     written = {"slots": 0, "frames": 0}
 
     def write(slot_lo, buckets, frame_lo, images) -> None:
@@ -150,7 +151,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         # passed, so a refused run leaves no run directory behind.
         if slot_lo == 0:
             out.mkdir(parents=True, exist_ok=True)
-            (out / "manifest.txt").write_bytes(config_text(cfg).encode("ascii"))
+            (out / "manifest.txt").write_bytes(manifest)
         if len(buckets):
             write_bucket_csv(BucketTrace(buckets, slot_dt), out / "bucket.csv", slot_lo)
         if len(images):

@@ -39,7 +39,16 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """A configuration key is unknown or its value does not parse."""
+    """A configuration key is unknown or its value does not parse.
+
+    A message past 200 characters is cut there, so a long rejected value
+    is not echoed whole.
+    """
+
+    def __init__(self, message: str):
+        if len(message) > 200:
+            message = f"{message[:200]}... [{len(message) - 200} more characters]"
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -80,9 +89,14 @@ def _parse_int(key: str, text: str) -> int:
 
 def _parse_fraction(key: str, text: str) -> Fraction:
     try:
-        return as_fraction(text)
+        value = as_fraction(text)
     except (ValueError, ZeroDivisionError, TypeError):
         raise ConfigError(f"{key}: expected a rational number, got {text!r}") from None
+    try:
+        str(value)  # manifest.txt must be able to write it back
+    except ValueError:
+        raise ConfigError(f"{key}: too many digits to write to manifest.txt, got {text!r}") from None
+    return value
 
 
 def _parse_choice(key: str, text: str, choices) -> str:

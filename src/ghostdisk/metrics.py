@@ -40,7 +40,6 @@ __all__ = [
     "predicted_contrast_reduced",
     "predicted_contrast_part",
     "predicted_contrast_cell",
-    "contrast_from_gram",
     "measured_contrast",
     "cell_slice",
     "cell_report_contrast",
@@ -104,18 +103,6 @@ def predicted_contrast_part(part_length: int, n_obj: int) -> Fraction:
 def predicted_contrast_cell(pattern_length: int) -> Fraction:
     """Contrast when an entire cell of the given width is lit."""
     return predicted_contrast_reduced(pattern_length, pattern_length)
-
-
-def contrast_from_gram(pattern_length: int, n_obj: int) -> Fraction:
-    """Contrast built directly from the Gram extrema, for cross-checking."""
-    coeffs = gram_coefficients(pattern_length)
-    if not 1 <= n_obj <= pattern_length:
-        raise ValueError(f"n_obj must be in 1..{pattern_length}, got {n_obj}")
-    bright = coeffs.c_max + (n_obj - 1) * coeffs.c_min
-    dark = n_obj * coeffs.c_min
-    if bright + dark == 0:
-        return Fraction(0)
-    return Fraction(bright - dark, bright + dark)
 
 
 def measured_contrast(values) -> Fraction:

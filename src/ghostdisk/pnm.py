@@ -8,16 +8,19 @@ legal Netpbm whitespace and ``#`` comments in the header.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["read_pgm", "write_pgm", "read_ppm", "write_ppm"]
 
 
-def _read_header(data: bytes, path) -> tuple[bytes, int, int, int, int]:
-    """Parse magic, width, height, maxval; return them plus the raster offset."""
+def _read(path, magic: str, channels: tuple[int, ...]) -> np.ndarray:
+    """Read a ``magic`` (P5 or P6) file into an ``(h, w, *channels)`` uint8 array."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     if len(data) < 2 or data[:1] != b"P":
         raise ValueError(f"{path}: not a PNM file (missing 'P' magic)")
-    magic = data[:2]
     pos = 2
     fields: list[int] = []
     while len(fields) < 3:
@@ -38,26 +41,30 @@ def _read_header(data: bytes, path) -> tuple[bytes, int, int, int, int]:
             raise ValueError(f"{path}: unexpected byte {byte!r} in header")
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise ValueError(f"{path}: header must end with single whitespace before raster")
-    pos += 1
     width, height, maxval = fields
-    return magic, width, height, maxval, pos
+    if data[:2] != magic.encode("ascii"):
+        raise ValueError(f"{path}: wrong magic {data[:2]!r}, expected {magic}")
+    if maxval != 255:
+        raise ValueError(f"{path}: maxval {maxval} unsupported, expected 255")
+    raster, shape = data[pos + 1 :], (height, width, *channels)
+    if len(raster) != math.prod(shape):
+        raise ValueError(f"{path}: raster holds {len(raster)} bytes, expected {math.prod(shape)}")
+    return np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy()
+
+
+def _write(path, arr: np.ndarray, magic: str, kind: str) -> None:
+    """Write an ``(h, w, ...)`` array of 0..255 integers under a ``magic`` header."""
+    if arr.size and (arr.min() < 0 or arr.max() > 255):
+        raise ValueError(f"{kind} values must lie in 0..255")
+    height, width = arr.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(arr.astype(np.uint8).tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5, maxval 255) into an (h, w) uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, width, height, maxval, pos = _read_header(data, path)
-    if magic != b"P5":
-        raise ValueError(f"{path}: wrong magic {magic!r}, expected P5")
-    if maxval != 255:
-        raise ValueError(f"{path}: maxval {maxval} unsupported, expected 255")
-    raster = data[pos:]
-    if len(raster) != width * height:
-        raise ValueError(
-            f"{path}: raster holds {len(raster)} bytes, expected {width * height}"
-        )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    return _read(path, "P5", ())
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -65,29 +72,12 @@ def write_pgm(path, image: np.ndarray) -> None:
     arr = np.asarray(image)
     if arr.ndim != 2:
         raise ValueError(f"PGM image must be 2-D, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise ValueError("PGM values must lie in 0..255")
-    height, width = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(arr.astype(np.uint8).tobytes())
+    _write(path, arr, "P5", "PGM")
 
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary PPM (P6, maxval 255) into an (h, w, 3) uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic, width, height, maxval, pos = _read_header(data, path)
-    if magic != b"P6":
-        raise ValueError(f"{path}: wrong magic {magic!r}, expected P6")
-    if maxval != 255:
-        raise ValueError(f"{path}: maxval {maxval} unsupported, expected 255")
-    raster = data[pos:]
-    if len(raster) != width * height * 3:
-        raise ValueError(
-            f"{path}: raster holds {len(raster)} bytes, expected {width * height * 3}"
-        )
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3).copy()
+    return _read(path, "P6", (3,))
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -95,9 +85,4 @@ def write_ppm(path, image: np.ndarray) -> None:
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"PPM image must have shape (h, w, 3), got {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise ValueError("PPM values must lie in 0..255")
-    height, width = arr.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(arr.astype(np.uint8).tobytes())
+    _write(path, arr, "P6", "PPM")

@@ -74,8 +74,6 @@ __all__ = [
     "ExposureFrame",
     "BucketTrace",
     "SimulationResult",
-    "bucket_value",
-    "slot_contribution",
     "simulate",
     "window_grid",
     "write_frame_ppm",
@@ -94,7 +92,6 @@ NOISE_SIGMA_MAX = 5e17
 # Slots per block of bucket products, noise and accumulator updates; bounds
 # the per-block temporaries.
 BLOCK_SLOTS = 4096
-CSV_ROWS = BLOCK_SLOTS // 4  # bucket.csv rows formatted and written at once
 
 # Frame values handed to a sink per call (4 frames at n = 35, one frame at
 # n = 155): bounds the frames held at once and the exporters' temporaries,
@@ -161,17 +158,6 @@ class SimulationResult:
     frames: tuple[ExposureFrame, ...]
     images: np.ndarray
     trace: BucketTrace
-
-
-def bucket_value(mask: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Per-channel sum of frame values under the mask, shape (3,) int64."""
-    lit = mask.astype(np.int64)
-    return np.tensordot(lit, frame.astype(np.int64), axes=([0, 1], [0, 1]))
-
-
-def slot_contribution(mask: np.ndarray, bucket: np.ndarray) -> np.ndarray:
-    """The slot's term of the correlation sum: bucket broadcast over the mask."""
-    return mask.astype(np.int64)[:, :, None] * np.asarray(bucket, dtype=np.int64)[None, None, :]
 
 
 def _pose_steps(velocity: Fraction, hold: Fraction, slot_dt: Fraction, n: int,
@@ -684,16 +670,16 @@ def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
     so a run written block by block gives the same bytes as a whole trace.
     Each time is ``repr(s * num / den)``, the correctly rounded float of
     ``s * slot_dt``, spelt by ``_time_cells``; the other columns are base-10
-    integers from ``_int_cells``.  Each ``CSV_ROWS`` rows become one array of
-    fixed-width cells, compacted and written.
+    integers from ``_int_cells``.  Each ``BLOCK_SLOTS`` rows (one block of a
+    streamed run) become one array of fixed-width cells, compacted and written.
     """
     num, den = trace.slot_dt.numerator, trace.slot_dt.denominator
     buckets = np.asarray(trace.buckets, dtype=np.int64)
     with open(path, "ab" if first_slot else "wb") as fh:
         if not first_slot:
             fh.write(b"t,slot,red,green,blue\n")
-        for lo in range(0, len(buckets), CSV_ROWS):
-            block = buckets[lo : lo + CSV_ROWS]
+        for lo in range(0, len(buckets), BLOCK_SLOTS):
+            block = buckets[lo : lo + BLOCK_SLOTS]
             s_lo, s_hi = first_slot + lo, first_slot + lo + len(block)
             slots = _int_cells(np.arange(s_lo, s_hi, dtype=np.int64), ord(","))
             rgb = _int_cells(block.reshape(-1), ord(",")).reshape(len(block), -1)

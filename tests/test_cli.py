@@ -194,6 +194,38 @@ def test_simulate_unusable_noise_sigma_exits_2(tmp_path, capsys, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--velocity-x", "--hold-interval", "--total-duration"])
+@pytest.mark.parametrize("value", ["1e5000", "1e-5000"])
+def test_simulate_value_past_the_int_digit_limit_exits_2(tmp_path, capsys, flag, value):
+    # Each parses exactly, but a part of it has more digits than Python
+    # turns into text, so manifest.txt could not hold it.
+    out = tmp_path / "x"
+    assert main(["simulate", *FAST, flag, value, "--out", str(out)]) == 2
+    key = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == (
+        f"error: {key}: too many digits to write to manifest.txt, got {value!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,start",
+    [
+        ("--velocity-x", "1/" + "3" * 10_003, "error: velocity_x: expected a rational number, got '1/333"),
+        ("--seed", "9" * 4_000, "error: seed: must be in [0, 2**64), got 999"),
+        ("--n", "-" + "9" * 4_000, "error: n: must be >= 1, got -999"),
+    ],
+    ids=["velocity_x", "seed", "n"],
+)
+def test_simulate_long_rejected_value_is_not_echoed_whole(tmp_path, capsys, flag, value, start):
+    out = tmp_path / "x"
+    assert main(["simulate", *FAST, flag, value, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(start) and line.endswith(" more characters]")
+    assert len(line) < 250
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "none.cfg")]) == 2
 

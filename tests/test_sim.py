@@ -47,6 +47,17 @@ def assert_traces_equal(a, b):
     assert np.array_equal(a.buckets, b.buckets)
 
 
+def bucket_value(mask, frame):
+    """Per-channel sum of frame values under the mask, shape (3,) int64."""
+    lit = mask.astype(np.int64)
+    return np.tensordot(lit, frame.astype(np.int64), axes=([0, 1], [0, 1]))
+
+
+def slot_contribution(mask, bucket):
+    """The slot's term of the correlation sum: bucket broadcast over the mask."""
+    return mask.astype(np.int64)[:, :, None] * np.asarray(bucket, dtype=np.int64)[None, None, :]
+
+
 def test_bucket_value_matches_naive():
     spec, patterns, schedule = make_setup()
     frame = random_scene(6, 0).pixels.astype(np.int64)
@@ -61,13 +72,13 @@ def test_bucket_value_matches_naive():
             )
             for ch in range(3)
         ]
-        assert sim.bucket_value(mask, frame).tolist() == expected
+        assert bucket_value(mask, frame).tolist() == expected
 
 
 def test_slot_contribution_shape_and_support():
     spec, patterns, schedule = make_setup()
     mask = disk.place_pattern(spec, schedule.slots[3], patterns)
-    contrib = sim.slot_contribution(mask, np.array([2, 5, 7]))
+    contrib = slot_contribution(mask, np.array([2, 5, 7]))
     assert contrib.shape == (6, 6, 3)
     assert np.array_equal(contrib[:, :, 0], mask * 2)
     assert np.array_equal(contrib[:, :, 2], mask * 7)
@@ -94,7 +105,7 @@ def test_frame_equals_sum_of_trace_contributions():
     acc = np.zeros((6, 6, 3), dtype=np.int64)
     for s, bucket in enumerate(result.trace.buckets):
         mask = disk.place_pattern(spec, schedule.slots[s % 36], patterns)
-        acc += sim.slot_contribution(mask, bucket)
+        acc += slot_contribution(mask, bucket)
     assert np.array_equal(result.frames[0].image, acc)
 
 
@@ -133,8 +144,8 @@ def test_tumbling_subrevolution_windows_match_direct_sums():
         acc = np.zeros((3, 3, 3), dtype=np.int64)
         for s in range(3 * w, 3 * (w + 1)):
             mask = disk.place_pattern(spec, schedule.slots[s % 9], patterns)
-            bucket = sim.bucket_value(mask, obj.pixels)
-            acc += sim.slot_contribution(mask, bucket)
+            bucket = bucket_value(mask, obj.pixels)
+            acc += slot_contribution(mask, bucket)
         assert np.array_equal(frame.image, acc)
 
 
@@ -168,7 +179,7 @@ def test_empty_windows_emit_zero_frames():
     for w, frame in enumerate(result.frames):
         if w % 2 == 0:
             mask = disk.place_pattern(spec, schedule.slots[w // 2], patterns)
-            expected = sim.slot_contribution(mask, sim.bucket_value(mask, obj.pixels))
+            expected = slot_contribution(mask, bucket_value(mask, obj.pixels))
             assert np.array_equal(frame.image, expected)
         else:
             assert not frame.image.any()
@@ -192,7 +203,7 @@ def test_sliding_windows_match_direct_sums():
         acc = np.zeros((3, 3, 3), dtype=np.int64)
         for s in range(i, i + 4):
             mask = disk.place_pattern(spec, schedule.slots[s % 9], patterns)
-            acc += sim.slot_contribution(mask, sim.bucket_value(mask, obj.pixels))
+            acc += slot_contribution(mask, bucket_value(mask, obj.pixels))
         assert np.array_equal(frame.image, acc)
 
 
@@ -360,7 +371,7 @@ def test_fine_hold_interval_costs_slots_not_blocks():
         for s in range(7 * w, 7 * w + 7):
             mask = disk.place_pattern(spec, schedule.slots[s], patterns)
             pose = scene.translate_image(obj.pixels, *offsets[s])
-            acc += sim.slot_contribution(mask, sim.bucket_value(mask, pose))
+            acc += slot_contribution(mask, bucket_value(mask, pose))
         assert np.array_equal(frame.image, acc), w
 
 
@@ -460,7 +471,7 @@ def test_pose_runs_across_bucket_blocks_match_per_slot_oracle(hold):
     for s, (row, offset) in enumerate(zip(result.trace.buckets.tolist(), offsets)):
         if offset not in poses:
             poses[offset] = scene.translate_image(obj.pixels, *offset)
-        clean = sim.bucket_value(masks[s % 36], poses[offset]).tolist()
+        clean = bucket_value(masks[s % 36], poses[offset]).tolist()
         expected = [
             max(0, clean[ch] + math.floor(sigma * rng.gaussian(seed, 3 * s + ch) + 0.5))
             for ch in range(3)
@@ -1172,8 +1183,8 @@ def repr_text(times):
 def test_time_cells_equal_repr_of_every_benchmark_time(slot_dt, slot_count):
     num, den = slot_dt.numerator, slot_dt.denominator
     got = "".join(
-        time_cells_text(lo, min(lo + sim.CSV_ROWS, slot_count), num, den)
-        for lo in range(0, slot_count, sim.CSV_ROWS)
+        time_cells_text(lo, min(lo + sim.BLOCK_SLOTS, slot_count), num, den)
+        for lo in range(0, slot_count, sim.BLOCK_SLOTS)
     )
     assert got == repr_text(s * num / den for s in range(slot_count))
 
@@ -1300,7 +1311,7 @@ def test_windows_equal_direct_sums(
     ]
     for s, t in enumerate(times):
         pose = scene.translate_image(obj.pixels, *traj.offset_at(t))
-        clean = sim.bucket_value(masks[s], pose).tolist()
+        clean = bucket_value(masks[s], pose).tolist()
         for ch in range(3):
             noise = math.floor(sigma * rng.gaussian(seed, 3 * s + ch) + 0.5) if sigma else 0
             assert buckets[s, ch] == max(0, clean[ch] + noise)
@@ -1312,7 +1323,7 @@ def test_windows_equal_direct_sums(
     else:
         starts = [t for t in times if t + window <= duration]
     assert [(f.start, f.end) for f in result.frames] == [(t, t + window) for t in starts]
-    contributions = [sim.slot_contribution(masks[s], buckets[s]) for s in range(len(times))]
+    contributions = [slot_contribution(masks[s], buckets[s]) for s in range(len(times))]
     for frame in result.frames:
         lo = bisect.bisect_left(times, frame.start)
         hi = bisect.bisect_left(times, frame.end)
