@@ -590,3 +590,81 @@ def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+# `--help` of the subcommands that take run settings, at an 80-column terminal.
+RECORDED_HELP = {
+    "simulate": """\
+usage: ghostdisk simulate [-h] [--config CONFIG] [--n VALUE] [--k VALUE]
+                          [--order-mode VALUE] [--letter VALUE]
+                          [--color VALUE] [--object VALUE]
+                          [--trajectory VALUE] [--velocity-x VALUE]
+                          [--velocity-y VALUE] [--hold-interval VALUE]
+                          [--revolution-period VALUE]
+                          [--persistence-time VALUE] [--window-mode VALUE]
+                          [--total-duration VALUE] [--noise-sigma VALUE]
+                          [--seed VALUE] [--workers VALUE] [--out VALUE]
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       config file of key = value lines
+  --n VALUE             object side length
+  --k VALUE             cells per row part
+  --order-mode VALUE    slot order: pattern_major or part_major
+  --letter VALUE        built-in letter object
+  --color VALUE         letter color: red, green, blue, or white
+  --object VALUE        PPM object image instead of a letter
+  --trajectory VALUE    object motion: static or linear
+  --velocity-x VALUE    columns per second, exact rational
+  --velocity-y VALUE    rows per second, exact rational
+  --hold-interval VALUE
+                        motion update interval in seconds
+  --revolution-period VALUE
+                        disk period in seconds
+  --persistence-time VALUE
+                        exposure window in seconds
+  --window-mode VALUE   tumbling or sliding windows
+  --total-duration VALUE
+                        simulated time in seconds
+  --noise-sigma VALUE   detector noise level, 0 disables
+  --seed VALUE          noise generator seed
+  --workers VALUE       kept for old configs; >= 1, changes nothing
+  --out VALUE           output directory
+""",
+    "schedule": """\
+usage: ghostdisk schedule [-h] --n N --k K [--order-mode ORDER_MODE]
+                          [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --k K
+  --order-mode ORDER_MODE
+  --out OUT
+""",
+    "layout": """\
+usage: ghostdisk layout [-h] --n N --k K [--order-mode ORDER_MODE]
+                        [--radius-mm RADIUS_MM]
+                        [--track-pitch-mm TRACK_PITCH_MM] [--svg SVG]
+                        [--csv CSV]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --k K
+  --order-mode ORDER_MODE
+  --radius-mm RADIUS_MM
+  --track-pitch-mm TRACK_PITCH_MM
+  --svg SVG             SVG output path
+  --csv CSV             hole table output path
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED_HELP))
+def test_help_matches_recorded_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == RECORDED_HELP[command]

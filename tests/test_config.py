@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,43 @@ def test_config_text_is_manifest_format(tmp_path):
     path = tmp_path / "manifest.txt"
     path.write_text(config.config_text(cfg))
     assert config.merge_config(config.load_config_file(path)) == cfg
+
+
+# manifest.txt bytes of the defaults and of a config with every setting off
+# its default.
+RECORDED_CONFIG_TEXT = {
+    "defaults": (
+        {},
+        "n = 35\nk = 5\norder_mode = pattern_major\nletter = U\ncolor = white\n"
+        "object_path = \ntrajectory = static\nvelocity_x = 0\nvelocity_y = 0\n"
+        "hold_interval = \nrevolution_period = 1/5\npersistence_time = 1/5\n"
+        "window_mode = tumbling\ntotal_duration = 1/5\nnoise_sigma = 0.0\nseed = 0\n"
+        "workers = 1\nout_dir = out\n",
+    ),
+    "every_setting_changed": (
+        {
+            "n": "21", "k": "3", "order_mode": "part_major", "letter": "X", "color": "red",
+            "object_path": "obj.ppm", "trajectory": "linear", "velocity_x": "-5/3",
+            "velocity_y": "0.25", "hold_interval": "1/7", "revolution_period": "2",
+            "persistence_time": "0.3", "window_mode": "sliding", "total_duration": "6",
+            "noise_sigma": "2.5", "seed": "42", "workers": "2", "out_dir": "results",
+        },
+        "n = 21\nk = 3\norder_mode = part_major\nletter = X\ncolor = red\n"
+        "object_path = obj.ppm\ntrajectory = linear\nvelocity_x = -5/3\nvelocity_y = 1/4\n"
+        "hold_interval = 1/7\nrevolution_period = 2\npersistence_time = 3/10\n"
+        "window_mode = sliding\ntotal_duration = 6\nnoise_sigma = 2.5\nseed = 42\n"
+        "workers = 2\nout_dir = results\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_CONFIG_TEXT))
+def test_config_text_matches_recorded_bytes(name):
+    layer, text = RECORDED_CONFIG_TEXT[name]
+    cfg = config.merge_config(layer)
+    changed = {f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(config.DEFAULTS, f.name)}
+    assert changed == set(layer)
+    assert config.config_text(cfg) == text
 
 
 def test_resolve_components_builds_consistent_objects():

@@ -1162,9 +1162,14 @@ def test_bucket_csv_over_several_blocks_equals_per_row_oracle(tmp_path):
     assert path.read_bytes() == bucket_csv_oracle(trace)
 
 
-def time_cells_text(s_lo, s_hi, num, den):
-    cells = sim._time_cells(s_lo, s_hi, num, den)
-    return cells[cells != 0].tobytes().decode("ascii")
+def time_cells_text(tmp_path, s_lo, s_hi, num, den):
+    """The time cells, a comma after each, of ``write_bucket_csv``'s rows for slots ``s_lo .. s_hi-1``."""
+    trace = sim.BucketTrace(np.zeros((s_hi - s_lo, 3), dtype=np.int64), Fraction(num, den))
+    assert (trace.slot_dt.numerator, trace.slot_dt.denominator) == (num, den)
+    path = tmp_path / "bucket.csv"
+    sim.write_bucket_csv(trace, path, s_lo)
+    rows = path.read_text("ascii").splitlines()[1 if s_lo == 0 else 0 :]
+    return "".join(row.split(",")[0] + "," for row in rows)
 
 
 def decimal_cells_text(times):
@@ -1180,21 +1185,18 @@ def repr_text(times):
     (Fraction(1, 5 * 155 * 155), 2 * 155 * 155),  # the noisy_155 benchmark run
     (Fraction(1, 5 * 35 * 35), 2 * 35 * 35),  # the sliding_motion benchmark run
 ])
-def test_time_cells_equal_repr_of_every_benchmark_time(slot_dt, slot_count):
+def test_time_cells_equal_repr_of_every_benchmark_time(tmp_path, slot_dt, slot_count):
     num, den = slot_dt.numerator, slot_dt.denominator
-    got = "".join(
-        time_cells_text(lo, min(lo + sim.BLOCK_SLOTS, slot_count), num, den)
-        for lo in range(0, slot_count, sim.BLOCK_SLOTS)
-    )
+    got = time_cells_text(tmp_path, 0, slot_count, num, den)
     assert got == repr_text(s * num / den for s in range(slot_count))
 
 
-def test_time_cells_take_repr_only_outside_the_float_range(monkeypatch):
+def test_time_cells_take_repr_only_outside_the_float_range(tmp_path, monkeypatch):
     # noisy_155: slot 0 (time 0.0) and slots 1-12 (below 1e-4, written in
     # scientific notation) take repr; the 48,037 others take the array path.
     calls, builtin = [], repr
     monkeypatch.setattr(sim, "repr", lambda x: calls.append(x) or builtin(x), raising=False)
-    text = time_cells_text(0, 2 * 155 * 155, 1, 5 * 155 * 155)
+    text = time_cells_text(tmp_path, 0, 2 * 155 * 155, 1, 5 * 155 * 155)
     assert len(calls) == 13 and calls == [s / 120125 for s in range(13)]
     assert text.startswith("0.0,8.324661810613944e-06,") and "9.989594172736733e-05,0.0001082206" in text
 
@@ -1209,11 +1211,11 @@ def test_time_cells_take_repr_only_outside_the_float_range(monkeypatch):
     (10**13, 10**13 + 1, 1, 2**53 - 1, [True]),
     (10**13, 10**13 + 1, 1, 2**53, [False]),  # den reaches 2**53
 ])
-def test_time_cells_edges_of_the_float_range(monkeypatch, s_lo, s_hi, num, den, fast):
+def test_time_cells_edges_of_the_float_range(tmp_path, monkeypatch, s_lo, s_hi, num, den, fast):
     calls, builtin = [], repr
     monkeypatch.setattr(sim, "repr", lambda x: calls.append(x) or builtin(x), raising=False)
     times = [s * num / den for s in range(s_lo, s_hi)]
-    assert time_cells_text(s_lo, s_hi, num, den) == repr_text(times)
+    assert time_cells_text(tmp_path, s_lo, s_hi, num, den) == repr_text(times)
     assert calls == [t for t, f in zip(times, fast) if not f]
 
 
