@@ -14,7 +14,7 @@ Subcommands:
 Exit codes: 0 success, 2 bad configuration or arguments, 3 file system
 errors, 4 internal invariant violations, including any ``ArithmeticError``
 (overflow, division by zero) or ``MemoryError``; each error prints one
-line on stderr and no traceback.
+line on stderr, its message cut after 200 characters, and no traceback.
 """
 
 from __future__ import annotations
@@ -58,39 +58,15 @@ __all__ = ["main"]
 
 def _add_override_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file of key = value lines")
-    overrides = [
-        ("--n", "n", "object side length"),
-        ("--k", "k", "cells per row part"),
-        ("--order-mode", "order_mode", "slot order: pattern_major or part_major"),
-        ("--letter", "letter", "built-in letter object"),
-        ("--color", "color", "letter color: red, green, blue, or white"),
-        ("--object", "object_path", "PPM object image instead of a letter"),
-        ("--trajectory", "trajectory", "object motion: static or linear"),
-        ("--velocity-x", "velocity_x", "columns per second, exact rational"),
-        ("--velocity-y", "velocity_y", "rows per second, exact rational"),
-        ("--hold-interval", "hold_interval", "motion update interval in seconds"),
-        ("--revolution-period", "revolution_period", "disk period in seconds"),
-        ("--persistence-time", "persistence_time", "exposure window in seconds"),
-        ("--window-mode", "window_mode", "tumbling or sliding windows"),
-        ("--total-duration", "total_duration", "simulated time in seconds"),
-        ("--noise-sigma", "noise_sigma", "detector noise level, 0 disables"),
-        ("--seed", "seed", "noise generator seed"),
-        ("--workers", "workers", "kept for old configs; >= 1, changes nothing"),
-        ("--out", "out_dir", "output directory"),
-    ]
-    for flag, dest, help_text in overrides:
-        parser.add_argument(flag, dest=f"cfg_{dest}", metavar="VALUE", help=help_text)
+    for setting in dataclasses.fields(RunConfig):
+        flag = setting.metadata["flag"] or "--" + setting.name.replace("_", "-")
+        parser.add_argument(flag, dest=setting.name, metavar="VALUE", help=setting.metadata["help"])
 
 
 def _gather_config(args: argparse.Namespace) -> RunConfig:
-    file_layer: dict[str, str] = {}
-    if args.config:
-        file_layer = load_config_file(args.config)
-    cli_layer = {
-        name[len("cfg_") :]: value
-        for name, value in vars(args).items()
-        if name.startswith("cfg_") and value is not None
-    }
+    file_layer = load_config_file(args.config) if args.config else {}
+    values = vars(args)
+    cli_layer = {s.name: values[s.name] for s in dataclasses.fields(RunConfig) if values[s.name] is not None}
     return merge_config(file_layer, cli_layer)
 
 
@@ -238,17 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_pat.add_argument("--pgm-dir", default=None, help="write one PGM per pattern here")
     p_pat.set_defaults(handler=_cmd_patterns)
 
-    p_sch = sub.add_parser("schedule", help="write one revolution's slot order")
-    p_sch.add_argument("--n", type=int, required=True)
-    p_sch.add_argument("--k", type=int, required=True)
-    p_sch.add_argument("--order-mode", default="pattern_major")
+    disk_args = argparse.ArgumentParser(add_help=False)
+    disk_args.add_argument("--n", type=int, required=True)
+    disk_args.add_argument("--k", type=int, required=True)
+    disk_args.add_argument("--order-mode", default="pattern_major")
+
+    p_sch = sub.add_parser("schedule", parents=[disk_args], help="write one revolution's slot order")
     p_sch.add_argument("--out", default="schedule.csv")
     p_sch.set_defaults(handler=_cmd_schedule)
 
-    p_lay = sub.add_parser("layout", help="write the disk drawing")
-    p_lay.add_argument("--n", type=int, required=True)
-    p_lay.add_argument("--k", type=int, required=True)
-    p_lay.add_argument("--order-mode", default="pattern_major")
+    p_lay = sub.add_parser("layout", parents=[disk_args], help="write the disk drawing")
     p_lay.add_argument("--radius-mm", type=float, default=60.0)
     p_lay.add_argument("--track-pitch-mm", type=float, default=1.5)
     p_lay.add_argument("--svg", default=None, help="SVG output path")
@@ -273,22 +248,22 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:  # ConfigError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, kind, message = 2, "error", str(exc)
     except OSError as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return 3
+        code, kind, message = 3, "file error", str(exc)
     except (AssertionError, RuntimeError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+        code, kind, message = 4, "internal error", str(exc)
     except ArithmeticError as exc:
         # Its message may be empty ("ZeroDivisionError()"), so name the type.
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        code, kind, message = 4, "internal error", f"{type(exc).__name__}: {exc}"
     except MemoryError:
         # Preformatted: formatting the error could need memory it lacks.
         sys.stderr.write("internal error: MemoryError\n")
         return 4
+    if len(message) > 200:  # a long rejected value or path is not echoed whole
+        message = f"{message[:200]}... [{len(message) - 200} more characters]"
+    print(f"{kind}: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

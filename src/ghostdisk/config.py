@@ -9,7 +9,7 @@ directory alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,45 +39,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """A configuration key is unknown or its value does not parse.
-
-    A message past 200 characters is cut there, so a long rejected value
-    is not echoed whole.
-    """
-
-    def __init__(self, message: str):
-        if len(message) > 200:
-            message = f"{message[:200]}... [{len(message) - 200} more characters]"
-        super().__init__(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one simulation run."""
-
-    n: int = 35
-    k: int = 5
-    order_mode: str = "pattern_major"
-    letter: str = "U"
-    color: str = "white"
-    object_path: str | None = None
-    trajectory: str = "static"
-    velocity_x: Fraction = Fraction(0)
-    velocity_y: Fraction = Fraction(0)
-    hold_interval: Fraction | None = None
-    revolution_period: Fraction = Fraction(1, 5)
-    persistence_time: Fraction = Fraction(1, 5)
-    window_mode: str = "tumbling"
-    total_duration: Fraction = Fraction(1, 5)
-    noise_sigma: float = 0.0
-    seed: int = 0
-    workers: int = 1
-    out_dir: str = "out"
-
-
-DEFAULTS = RunConfig()
-
-_KEYS = tuple(f.name for f in fields(RunConfig))
+    """A configuration key is unknown or its value does not parse."""
 
 
 def _parse_int(key: str, text: str) -> int:
@@ -87,7 +49,23 @@ def _parse_int(key: str, text: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _parse_fraction(key: str, text: str) -> Fraction:
+def _count(key: str, text: str) -> int:
+    value = _parse_int(key, text)
+    if value < 1:
+        raise ConfigError(f"{key}: must be >= 1, got {value}")
+    return value
+
+
+def _seed(key: str, text: str) -> int:
+    value = _parse_int(key, text)
+    try:
+        rng.check_seed(value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return value
+
+
+def _rational(key: str, text: str) -> Fraction:
     try:
         value = as_fraction(text)
     except (ValueError, ZeroDivisionError, TypeError):
@@ -99,66 +77,87 @@ def _parse_fraction(key: str, text: str) -> Fraction:
     return value
 
 
-def _parse_choice(key: str, text: str, choices) -> str:
-    if text not in choices:
-        raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {text!r}")
+def _positive(key: str, text: str) -> Fraction:
+    value = _rational(key, text)
+    if value <= 0:
+        raise ConfigError(f"{key}: must be positive, got {text!r}")
+    return value
+
+
+def _choice(choices):
+    """A parser of one of ``choices``."""
+
+    def parse(key: str, text: str) -> str:
+        if text not in choices:
+            raise ConfigError(f"{key}: expected one of {sorted(choices)}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _noise_level(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not 0 <= value <= NOISE_SIGMA_MAX:
+        raise ConfigError(f"{key}: must be in [0, {NOISE_SIGMA_MAX:g}], got {text!r}")
+    return value
+
+
+def _path(key: str, text: str) -> str:
+    if not text:
+        raise ConfigError(f"{key}: must not be empty")
     return text
+
+
+def _setting(default, parse, help_text: str, flag: str | None = None):
+    return field(default=default, metadata={"parse": parse, "help": help_text, "flag": flag})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved settings for one simulation run.
+
+    Each field carries the parser of its text form and the help of its
+    ``simulate`` flag, which is ``--`` and its name with dashes unless it
+    names another.  A setting whose default is None reads an empty value
+    as None.
+    """
+
+    n: int = _setting(35, _count, "object side length")
+    k: int = _setting(5, _count, "cells per row part")
+    order_mode: str = _setting("pattern_major", _choice(ORDER_MODES), "slot order: pattern_major or part_major")
+    letter: str = _setting("U", _choice(available_letters()), "built-in letter object")
+    color: str = _setting("white", _choice(COLOR_CHANNELS), "letter color: red, green, blue, or white")
+    object_path: str | None = _setting(None, _path, "PPM object image instead of a letter", "--object")
+    trajectory: str = _setting("static", _choice(("static", "linear")), "object motion: static or linear")
+    velocity_x: Fraction = _setting(Fraction(0), _rational, "columns per second, exact rational")
+    velocity_y: Fraction = _setting(Fraction(0), _rational, "rows per second, exact rational")
+    hold_interval: Fraction | None = _setting(None, _positive, "motion update interval in seconds")
+    revolution_period: Fraction = _setting(Fraction(1, 5), _positive, "disk period in seconds")
+    persistence_time: Fraction = _setting(Fraction(1, 5), _positive, "exposure window in seconds")
+    window_mode: str = _setting("tumbling", _choice(WINDOW_MODES), "tumbling or sliding windows")
+    total_duration: Fraction = _setting(Fraction(1, 5), _positive, "simulated time in seconds")
+    noise_sigma: float = _setting(0.0, _noise_level, "detector noise level, 0 disables")
+    seed: int = _setting(0, _seed, "noise generator seed")
+    workers: int = _setting(1, _count, "kept for old configs; >= 1, changes nothing")
+    out_dir: str = _setting("out", _path, "output directory", "--out")
+
+
+DEFAULTS = RunConfig()
+
+_SETTINGS = {setting.name: setting for setting in fields(RunConfig)}
 
 
 def parse_value(key: str, text: str):
     """Parse one config value from its text form; raises ConfigError."""
-    if key not in _KEYS:
+    if key not in _SETTINGS:
         raise ConfigError(f"unknown config key {key!r}")
-    text = text.strip()
-    if key in ("n", "k", "seed", "workers"):
-        value = _parse_int(key, text)
-        if key in ("n", "k", "workers") and value < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {value}")
-        if key == "seed":
-            try:
-                rng.check_seed(value)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        return value
-    if key == "order_mode":
-        return _parse_choice(key, text, ORDER_MODES)
-    if key == "window_mode":
-        return _parse_choice(key, text, WINDOW_MODES)
-    if key == "trajectory":
-        return _parse_choice(key, text, ("static", "linear"))
-    if key == "color":
-        return _parse_choice(key, text, tuple(COLOR_CHANNELS))
-    if key == "letter":
-        return _parse_choice(key, text, available_letters())
-    if key == "object_path":
-        return text or None
-    if key == "hold_interval":
-        if not text:
-            return None
-        value = _parse_fraction(key, text)
-        if value <= 0:
-            raise ConfigError(f"hold_interval: must be positive, got {text!r}")
-        return value
-    if key in ("velocity_x", "velocity_y"):
-        return _parse_fraction(key, text)
-    if key in ("revolution_period", "persistence_time", "total_duration"):
-        value = _parse_fraction(key, text)
-        if value <= 0:
-            raise ConfigError(f"{key}: must be positive, got {text!r}")
-        return value
-    if key == "noise_sigma":
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"noise_sigma: expected a number, got {text!r}") from None
-        if not 0 <= value <= NOISE_SIGMA_MAX:
-            raise ConfigError(f"noise_sigma: must be in [0, {NOISE_SIGMA_MAX:g}], got {text!r}")
-        return value
-    if key == "out_dir":
-        if not text:
-            raise ConfigError("out_dir: must not be empty")
-        return text
-    raise AssertionError(f"unhandled config key {key!r}")
+    text, setting = text.strip(), _SETTINGS[key]
+    if not text and setting.default is None:
+        return None
+    return setting.metadata["parse"](key, text)
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -196,7 +195,7 @@ def _value_text(value) -> str:
 
 def config_text(cfg: RunConfig) -> str:
     """Render a config in the file format, one line per key."""
-    lines = [f"{key} = {_value_text(getattr(cfg, key))}" for key in _KEYS]
+    lines = [f"{key} = {_value_text(getattr(cfg, key))}" for key in _SETTINGS]
     return "\n".join(lines) + "\n"
 
 

@@ -633,7 +633,7 @@ def _decimal_cells(t: np.ndarray) -> np.ndarray:
     q -= q * p > hi
     k = np.minimum(d, 18) - b
     whole, part = np.divmod(q * p10[np.maximum(k, 0)], p10[np.maximum(-k, 0)])
-    groups = max(1, -(-int(-k.min()) // 4))
+    groups = max(1, -(-int(-k.min(initial=0)) // 4))
     idx = np.empty((len(t), groups), dtype=np.intp)
     for col in range(groups - 1, -1, -1):
         part, idx[:, col] = np.divmod(part, 10_000)
@@ -643,25 +643,6 @@ def _decimal_cells(t: np.ndarray) -> np.ndarray:
     return np.concatenate([_int_cells(whole, ord(".")), digits, comma], axis=1)
 
 
-def _time_cells(s_lo: int, s_hi: int, num: int, den: int) -> np.ndarray:
-    """Zero-padded cells of ``repr(s * num / den) + ","`` for slots ``s_lo .. s_hi-1``.
-
-    While ``s * num`` and ``den`` stay below ``2**53`` one float division is
-    Python's correctly rounded ``int / int``; times in ``[1e-4, 2**50)`` then take
-    ``_decimal_cells``, and the rest ``repr``, at most 24 bytes with its comma.
-    """
-    exact = (s_hi - 1) * num < 2**53 and den < 2**53
-    t = np.arange(s_lo, s_hi) * float(num) / den if exact else np.zeros(s_hi - s_lo)
-    fast = (t >= 1e-4) & (t < 2.0**50)
-    cells = _decimal_cells(np.where(fast, t, 1.0))
-    slow = np.flatnonzero(~fast).tolist()
-    if slow:
-        cells = np.pad(cells, ((0, 0), (0, max(0, 24 - cells.shape[1]))))
-        text = [repr((s_lo + i) * num / den) + "," for i in slow]
-        cells[slow] = np.array(text, f"S{cells.shape[1]}").view(np.uint8).reshape(len(slow), -1)
-    return cells
-
-
 def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
     """Write ``t,slot,red,green,blue`` rows, times as decimal seconds.
 
@@ -669,20 +650,35 @@ def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
     the file is created with its header; a later first slot appends to it,
     so a run written block by block gives the same bytes as a whole trace.
     Each time is ``repr(s * num / den)``, the correctly rounded float of
-    ``s * slot_dt``, spelt by ``_time_cells``; the other columns are base-10
-    integers from ``_int_cells``.  Each ``BLOCK_SLOTS`` rows (one block of a
-    streamed run) become one array of fixed-width cells, compacted and written.
+    ``s * slot_dt``.  While ``s * num`` and ``den`` stay below ``2**53`` one
+    float division is Python's correctly rounded ``int / int``, and times in
+    ``[1e-4, 2**50)`` take ``_decimal_cells``.  Times grow with the slot, so
+    in each ``BLOCK_SLOTS`` block those rows are one run, which becomes one
+    array of fixed-width cells (the other columns from ``_int_cells``),
+    compacted and written; the rows before and after it call ``repr``, one
+    f-string each.
     """
     num, den = trace.slot_dt.numerator, trace.slot_dt.denominator
     buckets = np.asarray(trace.buckets, dtype=np.int64)
+
+    def repr_rows(rows: np.ndarray, s_lo: int) -> bytes:
+        return "".join(
+            f"{repr(s * num / den)},{s},{r},{g},{b}\n" for s, (r, g, b) in enumerate(rows.tolist(), s_lo)
+        ).encode("ascii")
+
     with open(path, "ab" if first_slot else "wb") as fh:
         if not first_slot:
             fh.write(b"t,slot,red,green,blue\n")
         for lo in range(0, len(buckets), BLOCK_SLOTS):
             block = buckets[lo : lo + BLOCK_SLOTS]
             s_lo, s_hi = first_slot + lo, first_slot + lo + len(block)
+            exact = (s_hi - 1) * num < 2**53 and den < 2**53
+            t = np.arange(s_lo, s_hi) * float(num) / den if exact else np.zeros(0)
+            i, j = np.searchsorted(t, [1e-4, 2.0**50]).tolist()  # rows i .. j-1 skip repr
             slots = _int_cells(np.arange(s_lo, s_hi, dtype=np.int64), ord(","))
             rgb = _int_cells(block.reshape(-1), ord(",")).reshape(len(block), -1)
             rgb[:, -1] = ord("\n")
-            cells = np.concatenate([_time_cells(s_lo, s_hi, num, den), slots, rgb], axis=1)
+            cells = np.concatenate([_decimal_cells(t[i:j]), slots[i:j], rgb[i:j]], axis=1)
+            fh.write(repr_rows(block[:i], s_lo))
             fh.write(cells[cells != 0].tobytes())
+            fh.write(repr_rows(block[j:], s_lo + j))

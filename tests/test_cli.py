@@ -226,6 +226,36 @@ def test_simulate_long_rejected_value_is_not_echoed_whole(tmp_path, capsys, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,code,start",
+    [
+        (["patterns", "--length", "7", "--random", "3", "--seed", "9" * 4_000], 2,
+         "error: seed: must be in [0, 2**64), got 999"),
+        (["schedule", "--n", "9" * 4_000, "--k", "5"], 2, "error: k must divide n: 999"),
+        (["report", "--run-dir", "a" * 3_000], 3, "file error: "),
+    ],
+    ids=["patterns_seed", "schedule_n", "report_run_dir"],
+)
+def test_any_long_error_line_is_cut(tmp_path, capsys, monkeypatch, argv, code, start):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(start) and line.endswith(" more characters]")
+    assert len(line) < 250
+
+
+def test_long_internal_error_line_is_cut(tmp_path, capsys, monkeypatch):
+    from ghostdisk import cli
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("x" * 3_000)
+
+    monkeypatch.setattr(cli, "simulate", fail)
+    assert main(["simulate", *FAST, "--out", str(tmp_path / "x")]) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"internal error: {'x' * 200}... [2800 more characters]"
+
+
 def test_simulate_missing_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "none.cfg")]) == 2
 
