@@ -33,13 +33,13 @@ A run is one walk, in one thread, over blocks of ``BLOCK_SLOTS`` slots.
 Each block gathers its buckets' pattern rows and posed cells by index,
 adds its noise, and folds its buckets into one running accumulator; the
 frames whose window ends inside the block then close.  Each window's
-leaving and entering slots sum their buckets per (row, cell, pattern)
-into ``dB``, and only the cells they touched go through the ``n_cell x
-n_cell`` pattern matrix, as ``acc += R^T @ dB``: a one-slot sliding step
-projects one or two cells, a whole window every cell.  Sliding windows
-take their leaving slots from the last ``window_slots`` buckets, which
-one buffer carries from block to block; tumbling windows never need a
-slot of an earlier block.
+leaving and entering slots add their buckets into ``dB`` per (row, cell,
+pattern) by one ``np.add.at``, and only the cells they touched go through
+the ``n_cell x n_cell`` pattern matrix, as ``acc += R^T @ dB``: a
+one-slot sliding step projects one or two cells, a whole window every
+cell.  Slot ``s`` sits at ``s % ring`` of a ring of whole blocks that
+still holds a sliding window's leaving slots, and no slot moves once
+written, so a run's time grows with its slots and frames, not its window.
 ``simulate`` hands each block's bucket rows and closed frames to a sink as
 it goes, or collects them into one ``SimulationResult``; streamed, a run
 holds O(``BLOCK_SLOTS`` + window + n^2) values, whatever its length.
@@ -235,7 +235,7 @@ def simulate(
 
     blocks = _bucket_blocks(scene, trajectory, schedule, patterns, slot_dt, slot_count,
                             float(noise_sigma), seed)
-    parts = _windows(schedule, patterns.patterns, timing, blocks, window_slots)
+    parts = _windows(schedule, patterns.patterns, timing, blocks)
     if sink is not None:
         for part in parts:
             sink(*part)
@@ -364,7 +364,6 @@ def _windows(
     matrix: np.ndarray,  # (n_cell, n_cell) 0/1 patterns
     timing: TimingConfig,
     blocks: Iterable[tuple[int, np.ndarray]],
-    keep: int,
 ) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     """Exposure frames of either window mode, from one running accumulator.
 
@@ -378,67 +377,57 @@ def _windows(
     and both bounds only grow from one window to the next: the accumulator
     adds the slots that enter, as their blocks arrive, and subtracts those
     that leave, and starts over from zero when a window shares no slot with
-    the one before.  A leaving slot is at most ``keep`` (``window_slots``)
-    before the block that drops it, so sliding windows keep that many
-    buckets from earlier blocks; tumbling windows never share a slot.
+    the one before.  A leaving slot is at most ``keep`` (the window in
+    slots) before the block that drops it, so sliding windows keep that
+    many buckets from earlier blocks, and tumbling windows none: slot ``s``
+    sits at ``history[s % ring]``, ``ring`` being ``keep + BLOCK_SLOTS``
+    rounded up to whole blocks, so no block wraps or moves.  Each range
+    adds into ``dB`` by one ``np.add.at``, which sums the positions it
+    repeats; a slot enters and leaves once, whatever the window's length.
     """
     spec = schedule.spec
-    per_rev = spec.slots_per_revolution
+    per_rev, n_cell = spec.slots_per_revolution, spec.n_cell
     window = timing.persistence_window
     slot_dt = timing.slot_duration(per_rev)
     step, count = window_grid(timing, slot_dt)
-    acc = np.zeros((spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
-    sums = np.zeros_like(acc)  # dB: the pending buckets per (row, cell, pattern)
-    touched = np.zeros((spec.n, spec.k), dtype=bool)  # cells with a pending dB
-    chunk = max(1, BLOCK_SLOTS // spec.n_cell)
+    acc = np.zeros((spec.n * spec.k, n_cell, 3), dtype=np.int64)
+    sums = np.zeros_like(acc)  # dB: the pending buckets per (row * k + cell, pattern)
+    pos = (schedule.rows * spec.k + schedule.cells) * n_cell + schedule.pattern_index
+    touched = np.zeros(len(acc), dtype=bool)  # cells with a pending dB
+    chunk = max(1, BLOCK_SLOTS // n_cell)
     matrix_t = np.ascontiguousarray(matrix.T)
     batch = np.empty((max(1, FRAME_BLOCK_VALUES // (3 * per_rev)), spec.n, spec.n, 3), np.int64)
-    if timing.window_mode == "tumbling":
-        keep = 0
-    # Slot s sits in history[s - first], for the current block and the `keep`
-    # slots before it; each block shifts the last `keep` rows to the front.
-    history = np.zeros((keep + BLOCK_SLOTS, 3), dtype=np.int64)
-    first = 0
-
-    def add(lo: int, hi: int, sign: int) -> None:
-        # Slot s plays schedule position s % per_rev, and no position repeats
-        # within a revolution: sum whole revolutions per position, then add
-        # each part by plain fancy +=.  Entering slots lie in the current
-        # block (cur_hi == b_lo as it starts), and leaving ranges hold at most
-        # one slot (sliding windows step by one slot, tumbling ones never
-        # overlap), so no range spans more than BLOCK_SLOTS slots.
-        head = min(-(-lo // per_rev) * per_rev, hi)
-        tail = max(hi // per_rev * per_rev, head)
-        for s_lo, s_hi in ((lo, head), (head, tail), (tail, hi)):
-            if s_lo >= s_hi:
-                continue
-            revs = max(1, (s_hi - s_lo) // per_rev)
-            span = (s_hi - s_lo) // revs
-            part = history[s_lo - first : s_hi - first].reshape(revs, span, 3)
-            j = slice(s_lo % per_rev, s_lo % per_rev + span)
-            rows, cols = schedule.rows[j], schedule.cells[j]
-            sums[rows, cols, schedule.pattern_index[j]] += sign * part.sum(axis=0)
-            touched[rows, cols] = True
-
-    def project() -> None:
-        # acc += R^T @ dB over the touched cells only, chunk cells at a time.
-        rows, cols = np.nonzero(touched)
-        for p in range(0, len(rows), chunk):
-            cells = rows[p : p + chunk], cols[p : p + chunk]
-            acc[cells] += matrix_t @ sums[cells]
-            sums[cells] = 0
-        touched[...] = False
-
     # Window i holds slots [ceil(i * a / d), ceil((i * a + w) / d)): step and
     # window in slots, over a common denominator d.
     d = math.lcm((step / slot_dt).denominator, (window / slot_dt).denominator)
     a, w = int(step / slot_dt * d), int(window / slot_dt * d)
+    keep = -(-w // d) if timing.window_mode == "sliding" and count else 0
+    ring = -(-(keep + BLOCK_SLOTS) // BLOCK_SLOTS) * BLOCK_SLOTS
+    history = np.zeros((ring, 3), dtype=np.int64)
+
+    def add(lo: int, hi: int, sign: int) -> None:
+        # Entering slots lie in the current block (cur_hi == b_lo as it
+        # starts), and leaving ranges hold at most one slot (sliding windows
+        # step by one slot, tumbling ones never overlap), so none wraps.
+        if lo < hi:
+            at = pos[np.arange(lo, hi) % per_rev]
+            part = sign * history[lo % ring : lo % ring + hi - lo]
+            np.add.at(sums.reshape(-1), (3 * at[:, None] + np.arange(3)).ravel(), part.ravel())
+            touched[at // n_cell] = True
+
+    def project() -> None:
+        # acc += R^T @ dB over the touched cells only, chunk cells at a time.
+        cells = np.flatnonzero(touched)
+        touched[cells] = False
+        for p in range(0, len(cells), chunk):
+            part = cells[p : p + chunk]
+            acc[part] += matrix_t @ sums[part]
+            sums[part] = 0
+
     i = cur_lo = cur_hi = 0
     for b_lo, buckets in blocks:
         b_hi = b_lo + len(buckets)
-        history[:keep] = history[BLOCK_SLOTS:]
-        history[keep : keep + len(buckets)] = buckets
-        first = b_lo - keep
+        history[b_lo % ring : b_lo % ring + len(buckets)] = buckets
         slot_lo, done = b_lo, 0
         while i < count:
             lo, hi = -(-i * a // d), -(-(i * a + w) // d)

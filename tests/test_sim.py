@@ -284,7 +284,7 @@ def test_frame_overflow_refused_up_front():
 
 def test_projected_window_near_int64_bound_is_exact():
     # Windows of 7/2 revolutions at n = 35 take the pattern-domain update:
-    # three whole revolutions summed per position and a partial one.  A
+    # np.add.at sums up to 4 slots per position, from 3 1/2 revolutions.  A
     # window visits each slot at most 4 times and c_max = 3, so the bound is
     # 12 * (765 + floor(sigma * 8.5717) + 1) < 2**63 for this sigma.
     spec, patterns, schedule = make_setup(n=35, k=5)
@@ -568,8 +568,7 @@ def window_pass(schedule, matrix, timing, buckets):
     blocks = [
         (lo, buckets[lo : lo + sim.BLOCK_SLOTS]) for lo in range(0, len(buckets), sim.BLOCK_SLOTS)
     ]
-    keep = min(math.ceil(timing.persistence_window / slot_dt), len(buckets))
-    for _, _, frame_lo, images in sim._windows(schedule, matrix, timing, blocks, keep):
+    for _, _, frame_lo, images in sim._windows(schedule, matrix, timing, blocks):
         out[frame_lo : frame_lo + len(images)] = images
     return out
 
@@ -764,6 +763,87 @@ def test_sliding_windows_across_blocks_match_dense_oracle(window_revs):
     assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 10)
 
 
+@pytest.mark.parametrize("window_slots", [98, 600])
+def test_sliding_windows_past_three_ring_wraps_match_dense_oracle(monkeypatch, window_slots):
+    # Slot s sits at s % ring, ring being window + block rounded up to whole
+    # blocks.  The arithmetic holds for any block size, and 512-slot blocks
+    # make three rings a few thousand slots: windows shorter than a
+    # revolution (98 slots) and longer than a block (600).  The sampled
+    # frames include those whose leaving or entering slot sits on either
+    # side of each wrap.
+    block = 512
+    monkeypatch.setattr(sim, "BLOCK_SLOTS", block)
+    spec, patterns, schedule = make_setup(n=14, k=2, order_mode="part_major")
+    per_rev = spec.slots_per_revolution
+    ring = -(-(window_slots + block) // block) * block
+    slot_count = 3 * ring + per_rev
+    count = slot_count - window_slots + 1
+    slot_dt = Fraction(1, per_rev)
+    traj = scene.Trajectory(
+        mode="linear", velocity=(Fraction(2, 3), Fraction(-1, 2)), hold_interval=Fraction(1, 3)
+    )
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=window_slots * slot_dt,
+        window_mode="sliding", total_duration=slot_count * slot_dt,
+    )
+    wraps = range(ring, slot_count, ring)
+    # Frame i drops slot i - 1 and takes in slot i + window_slots - 1.
+    edges = (*range(-1, 3), *range(-1 - window_slots, 3 - window_slots))
+    sampled = {w + d for w in wraps for d in edges} & set(range(count))
+    sampled |= {0, count - 1, *range(0, count, 97)}
+    buckets = np.empty((slot_count, 3), dtype=np.int64)
+    images = {}
+    stream = [0, 0]  # the next slot and frame the sink expects
+
+    def sink(slot_lo, rows, frame_lo, block_images):
+        assert [slot_lo, frame_lo] == stream
+        buckets[slot_lo : slot_lo + len(rows)] = rows
+        for f in sampled.intersection(range(frame_lo, frame_lo + len(block_images))):
+            images[f] = block_images[f - frame_lo].copy()
+        stream[:] = slot_lo + len(rows), frame_lo + len(block_images)
+
+    obj = random_scene(14, 24)
+    sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=11, sink=sink)
+    assert stream == [slot_count, count] and len(wraps) == 3
+    assert sorted(images) == sorted(sampled)
+    stacked = np.stack([images[f] for f in sorted(images)])
+    frames = tuple(
+        sim.ExposureFrame(start=f * slot_dt, end=(f + window_slots) * slot_dt, image=image)
+        for f, image in zip(sorted(images), stacked)
+    )
+    trace = sim.BucketTrace(buckets=buckets, slot_dt=slot_dt)
+    result = sim.SimulationResult(frames=frames, images=stacked, trace=trace)
+    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 11)
+
+
+def test_sliding_window_ring_grows_peak_by_one_bucket_per_window_slot():
+    import tracemalloc
+
+    spec, patterns, schedule = make_setup(n=7, k=1)
+    obj = scene.builtin_letter("T", 7, "white")
+
+    def streamed_peak(window_revs):
+        # 50 frames: the window slides one revolution of 49 slots.
+        timing = sim.TimingConfig(
+            revolution_period=Fraction(1), persistence_window=Fraction(window_revs),
+            window_mode="sliding", total_duration=Fraction(window_revs + 1),
+        )
+        tracemalloc.start()
+        try:
+            sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing, sink=lambda *part: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    streamed_peak(1)  # first-call caches
+    # Windows of 102,900 and 411,600 slots.  The ring holds each window
+    # slot's bucket once (24 B); shifting it with an overlapping copy every
+    # block would hold it twice.
+    short, long = streamed_peak(2100), streamed_peak(8400)
+    assert long - short <= 1.25 * 24 * (8400 - 2100) * 49
+
+
 def scatter_frames(schedule, matrix, buckets, frames, slot_dt):
     """Each frame summed from zero slot by slot with ``np.add.at``: a referee
     for the pattern-domain window sums that shares none of their steps."""
@@ -782,9 +862,9 @@ def scatter_frames(schedule, matrix, buckets, frames, slot_dt):
 
 @pytest.mark.parametrize("order_mode", disk.ORDER_MODES)
 def test_pattern_domain_switch_changes_no_bytes_at_n155(order_mode):
-    # Windows of 7/3 revolutions of 24,025 slots sum whole revolutions in
-    # several BLOCK_SLOTS position blocks, over moving poses, and project
-    # every cell in several chunks.
+    # Windows of 7/3 revolutions of 24,025 slots scatter several
+    # BLOCK_SLOTS blocks that repeat positions across revolutions, over
+    # moving poses, and project every cell in several chunks.
     spec, patterns, schedule = make_setup(n=155, k=5, order_mode=order_mode)
     obj = scene.builtin_letter("J", 155, "white")
     traj = scene.Trajectory(mode="linear", velocity=(Fraction(7), Fraction(-3)))
