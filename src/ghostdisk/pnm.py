@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["read_pgm", "write_pgm", "read_ppm", "write_ppm"]
+__all__ = ["header", "read_pgm", "write_pgm", "read_ppm", "write_ppm"]
 
 
 def _read(path, magic: str, channels: tuple[int, ...]) -> np.ndarray:
@@ -52,13 +52,18 @@ def _read(path, magic: str, channels: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(raster, dtype=np.uint8).reshape(shape).copy()
 
 
+def header(magic: str, width: int, height: int) -> bytes:
+    """The canonical ``magic`` (P5 or P6) header of a ``width x height`` raster."""
+    return f"{magic}\n{width} {height}\n255\n".encode("ascii")
+
+
 def _write(path, arr: np.ndarray, magic: str, kind: str) -> None:
     """Write an ``(h, w, ...)`` array of 0..255 integers under a ``magic`` header."""
     if arr.size and (arr.min() < 0 or arr.max() > 255):
         raise ValueError(f"{kind} values must lie in 0..255")
     height, width = arr.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(f"{magic}\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(header(magic, width, height))
         fh.write(arr.astype(np.uint8).tobytes())
 
 

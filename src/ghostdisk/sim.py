@@ -26,8 +26,9 @@ and libm's only where a last-bit difference could change one.
 
 Motion is sampled per slot: each axis' offset is the count of the slots,
 found once per run in exact integers, where its magnitude first reaches
-1, 2, ..., n.  Offsets, so clipped to +-n, index one zero-padded copy of
-the scene, and static, held and free motion take one path at one cost.
+1, 2, ..., n.  Offsets, so clipped to +-n, index one copy of the scene
+zero-padded by that count on each axis, and static, held and free motion
+take one path at one cost.
 
 A run is one walk, in one thread, over blocks of ``BLOCK_SLOTS`` slots.
 Each block gathers its buckets' pattern rows and posed cells by index,
@@ -41,11 +42,16 @@ cell.  Slot ``s`` sits at ``s % ring`` of a ring of whole blocks that
 still holds a sliding window's leaving slots, and no slot moves once
 written, so a run's time grows with its slots and frames, not its window.
 ``simulate`` hands each block's bucket rows and closed frames to a sink as
-it goes, or collects them into one ``SimulationResult``; streamed, a run
-holds O(``BLOCK_SLOTS`` + window + n^2) values, whatever its length.
+it goes, or collects them into one ``SimulationResult``.  Streamed, a run
+holds, whatever its length, the accumulator and ``dB`` (``n^2 x 3`` int64
+each), the ring of buckets, the per-position table ``pos``, one batch of
+frames, the scene padded by its motion, and one block's temporaries.
 
-Both text exports, frame ``.txt`` files and ``bucket.csv``, spell their
-integers as whole arrays through one base-10**4 digit-group formatter.
+Frame exports format and scale the (frame, channel, row) or (frame, row)
+stream in runs of whole rows, at most ``FRAME_BLOCK_VALUES`` values each,
+and write each piece as it is made.  Both text exports, frame ``.txt``
+files and ``bucket.csv``, spell their integers as arrays through one
+base-10**4 digit-group formatter.
 ``bucket.csv``'s times are each slot start's ``repr``: for times in [1e-4,
 2**50) its shortest round-trip digits come from exact integer array
 arithmetic (``_decimal_cells``), and only the rest call ``repr`` itself.
@@ -54,7 +60,9 @@ arithmetic (``_decimal_cells``), and only the rest call ``repr`` itself.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,10 +101,10 @@ NOISE_SIGMA_MAX = 5e17
 # the per-block temporaries.
 BLOCK_SLOTS = 4096
 
-# Frame values handed to a sink per call (4 frames at n = 35, one frame at
-# n = 155): bounds the frames held at once and the exporters' temporaries,
-# which stay small enough to be reused from call to call rather than
-# mapped afresh.
+# Frame values handed to a sink per call, at least one frame (4 frames at
+# n = 35, one at n = 155).  Frame exports format and scale at most this
+# many values at a time, in runs of whole rows, so their temporaries stay
+# the same size at any n.
 FRAME_BLOCK_VALUES = 1 << 14
 
 # sink(slot_lo, buckets, frame_lo, images): see simulate().
@@ -205,7 +213,8 @@ def simulate(
     stopped; the first call of each ``BLOCK_SLOTS`` block carries its rows,
     and each call at most ``FRAME_BLOCK_VALUES`` frame values (at least one
     frame).  Both arrays are reused once the call returns, so a sink copies
-    what it keeps.  The result then holds no frames and an empty trace.
+    what it keeps.  The result then holds no frames and an empty trace, and
+    the run holds what the module docstring lists, whatever its length.
 
     Raises ``ValueError`` up front, before any slot is simulated, when the
     seed lies outside [0, 2**64), a frame could overflow int64 (see
@@ -272,35 +281,41 @@ def _bucket_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(b_lo, buckets)`` for each block of ``BLOCK_SLOTS`` slots, in order.
 
-    Static, held and free motion share one path.  The scene sits, as
-    ``uint8``, in the middle of a zero frame three times its side, and
-    ``win[y, x]`` reads the ``n_cell`` pixels from ``(y, x)`` rightward.
-    Each slot's offset ``(dx, dy)``, clipped to +-n (beyond which the
-    posed scene is all zero), is its count of ``_pose_steps`` per axis;
-    its posed cell is then ``win[row - dy + n, cell * n_cell - dx + n]``.
-    The block gathers every slot's pattern row and posed cell by index,
-    takes their products, and draws its noise at once, Gaussian index
-    ``3 * slot + channel``.
+    Static, held and free motion share one path.  Each slot's offset
+    ``(dx, dy)``, clipped to +-n (beyond which the posed scene is all
+    zero), is its count of ``_pose_steps`` per axis, signed; the scene
+    sits, as ``uint8``, in a zero frame padded by that count on the side
+    each axis moves towards (not at all for a static scene), and
+    ``win[y, x]`` reads the ``n_cell`` pixels from ``(y, x)`` rightward.  A
+    slot's posed cell is then ``win[row - dy + top, cell * n_cell - dx +
+    left]``.  The block gathers every slot's pattern row and posed cell by
+    index, takes their products in int16 while a bucket, at most ``255 *
+    per_slot``, fits (int32 otherwise), and draws its noise at once,
+    Gaussian index ``3 * slot + channel``.
     """
     spec = schedule.spec
     n, n_cell = spec.n, spec.n_cell
     per_rev = spec.slots_per_revolution
-    pad = np.zeros((3 * n, 3 * n, 3), dtype=np.uint8)
-    pad[n : 2 * n, n : 2 * n] = scene.pixels
-    win = sliding_window_view(pad.reshape(3 * n, 9 * n), 3 * n_cell, axis=1)[:, ::3]
     hold = trajectory.hold_interval or slot_dt
     velocity = trajectory.velocity if trajectory.mode == "linear" else (0, 0)
     axes = [(1 if v > 0 else -1, _pose_steps(v, hold, slot_dt, n, slot_count)) for v in velocity]
-    matrix = patterns.patterns.astype(np.int32)  # 0/1: buckets <= 255 * n_cell fit int32
+    (left, right), (top, bottom) = (
+        (len(steps), 0) if sign > 0 else (0, len(steps)) for sign, steps in axes
+    )
+    pad = np.pad(scene.pixels, ((top, bottom), (left, right), (0, 0)))
+    win = sliding_window_view(pad.reshape(len(pad), -1), 3 * n_cell, axis=1)[:, ::3]
+    per_slot = int(patterns.patterns.sum(axis=1).max())
+    dtype = np.int16 if 255 * per_slot < 2**15 else np.int32
+    matrix = patterns.patterns.astype(dtype)
     # Every temporary dies before the yield: a suspended walk holds none.
     for b_lo in range(0, slot_count, BLOCK_SLOTS):
         b_hi = min(b_lo + BLOCK_SLOTS, slot_count)
         slots = np.arange(b_lo, b_hi)
         dx, dy = (sign * np.searchsorted(steps, slots, "right") for sign, steps in axes)
         j = slots % per_rev
-        cells = win[schedule.rows[j] - dy + n, schedule.cells[j] * n_cell - dx + n]
+        cells = win[schedule.rows[j] - dy + top, schedule.cells[j] * n_cell - dx + left]
         rows = matrix[schedule.pattern_index[j], None]  # (slots, 1, n_cell)
-        buckets = (rows @ cells.reshape(-1, n_cell, 3).astype(np.int32))[:, 0].astype(np.int64)
+        buckets = (rows @ cells.reshape(-1, n_cell, 3).astype(dtype))[:, 0].astype(np.int64)
         del slots, dx, dy, j, cells, rows
         if sigma > 0:
             buckets += rng.rounded_noise(seed, 3 * b_lo, 3 * b_hi, sigma).reshape(-1, 3)
@@ -454,8 +469,30 @@ def _windows(
 # ---------------------------------------------------------------------------
 
 
-def _scale_ppm(images: np.ndarray) -> np.ndarray:
-    """Each frame of a ``(B, h, w, 3)`` block scaled onto 0..255 as uint8.
+def _row_runs(rows: int, row_values: int, part: int) -> Iterator[tuple[int, int, list[int]]]:
+    """``(lo, hi, cuts)`` over ``rows`` rows of ``row_values`` values each.
+
+    Each run ``[lo, hi)`` holds at most ``FRAME_BLOCK_VALUES`` values (at
+    least one row), and ``cuts`` splits it where a part of ``part`` rows
+    starts: ``lo``, each such start inside the run, then ``hi``.
+    """
+    per = max(1, FRAME_BLOCK_VALUES // row_values)
+    for lo in range(0, rows, per):
+        hi = min(lo + per, rows)
+        yield lo, hi, [lo, *range(lo - lo % part + part, hi, part), hi]
+
+
+def _write_pieces(pieces: Iterable[tuple[int, bytes]], paths) -> None:
+    """Write each frame's ``(frame, bytes)`` pieces, in order, to its own path."""
+    frames = itertools.groupby(pieces, key=operator.itemgetter(0))
+    for (_, parts), path in zip(frames, paths, strict=True):
+        with open(path, "wb") as fh:
+            for _, piece in parts:
+                fh.write(piece)
+
+
+def _scale_ppm(v: np.ndarray, peak: np.int64) -> np.ndarray:
+    """int64 values ``v`` of a frame with peak ``peak`` scaled onto 0..255 as uint8.
 
     Value ``v`` of a frame with peak ``p > 0`` maps to
     ``floor((510 v + p) / (2 p))`` (the peak to 255, halves rounding up),
@@ -465,12 +502,9 @@ def _scale_ppm(images: np.ndarray) -> np.ndarray:
     ``|q b| < 520200`` for ``0 <= v <= p``, so every step is exact in int64
     for any frame of nonnegative counts.  A frame with peak ``<= 0`` stays zero.
     """
-    v = np.asarray(images, dtype=np.int64)
-    peak = v.max(axis=(1, 2, 3), keepdims=True)
     p = np.maximum(peak, 1)
     d = np.maximum(p // 510, 1)
     b = p - 510 * d
-    # In place, to keep a whole n = 155 frame's temporaries small.
     q, t = np.divmod(v, d)
     t *= 510
     t -= q * b
@@ -482,14 +516,30 @@ def _scale_ppm(images: np.ndarray) -> np.ndarray:
     return q.astype(np.uint8)
 
 
+def _ppm_pieces(images: np.ndarray) -> Iterator[tuple[int, bytes]]:
+    """``(frame, bytes)`` pieces of each frame's PPM file, in file order."""
+    count, height, width = images.shape[:3]
+    peaks = images.max(axis=(1, 2, 3)).astype(np.int64)
+    head = pnm.header("P6", width, height)
+    for lo, hi, cuts in _row_runs(count * height, 3 * width, height):
+        r = np.arange(lo, hi)
+        values = images[r // height, r % height].astype(np.int64, copy=False)
+        for a, b in itertools.pairwise(cuts):
+            # One frame's rows at a time: a scalar peak divides about twice as
+            # fast as a per-row one.
+            data = _scale_ppm(values[a - lo : b - lo], peaks[a // height]).tobytes()
+            yield a // height, head + data if a % height == 0 else data
+
+
 def write_frame_ppm(images: np.ndarray, paths) -> None:
     """Write each frame of a ``(B, h, w, 3)`` block as a binary PPM.
 
     Each frame is scaled on its own: its maximum maps to 255 and an
     all-zero frame stays zero, rounding half up in exact integer arithmetic.
+    The (frame, row) rows are scaled and written in runs of at most
+    ``FRAME_BLOCK_VALUES`` values.
     """
-    for scaled, path in zip(_scale_ppm(images), paths, strict=True):
-        pnm.write_ppm(path, scaled)
+    _write_pieces(_ppm_pieces(np.asarray(images)), paths)
 
 
 _CHANNEL_HEADERS = tuple(f"# channel {name}\n".encode("ascii") for name in ("red", "green", "blue"))
@@ -547,37 +597,43 @@ def _int_cells(values: np.ndarray, sep: int) -> np.ndarray:
     return cells
 
 
-def frame_texts(images: np.ndarray) -> list[bytes]:
-    """``frame_NNNN.txt`` bytes of each frame of a ``(B, h, w, 3)`` int block.
+def _text_pieces(images: np.ndarray) -> Iterator[tuple[int, bytes]]:
+    """``(frame, bytes)`` pieces of each frame's ``.txt``, in file order.
 
-    The values go through ``_int_cells`` in file order (frame, channel,
-    row, column), a space after each and a newline at each row's end.
-    Dropping the zero padding leaves exactly the ``" ".join(map(str, row))``
-    lines; every ``h``-th newline ends a channel.
+    The (frame, channel, row) rows go through ``_int_cells`` in runs of at
+    most ``FRAME_BLOCK_VALUES`` values, a space after each value and a
+    newline at each row's end.  Dropping the zero padding leaves exactly
+    the ``" ".join(map(str, row))`` lines, and each channel's first row
+    follows its ``# channel <name>`` header.
     """
+    images = np.asarray(images)
     count, height, width = images.shape[:3]
-    values = images.transpose(0, 3, 1, 2).astype(np.int64, order="C").reshape(-1)
-    cells = _int_cells(values, ord(" "))
-    cells.reshape(-1, width, cells.shape[1])[:, -1, -1] = ord("\n")
-    text = cells[cells != 0]
-    ends = (np.flatnonzero(text == ord("\n"))[height - 1 :: height] + 1).tolist()
-    data = text.tobytes()
-    starts = [0, *ends[:-1]]
-    return [
-        b"".join(_CHANNEL_HEADERS[c] + data[starts[3 * f + c] : ends[3 * f + c]] for c in range(3))
-        for f in range(count)
-    ]
+    for lo, hi, cuts in _row_runs(3 * count * height, width, height):
+        r = np.arange(lo, hi)
+        values = images[r // (3 * height), r % height, :, r // height % 3]
+        cells = _int_cells(values.astype(np.int64, copy=False).reshape(-1), ord(" "))
+        cells = cells.reshape(hi - lo, -1)
+        cells[:, -1] = ord("\n")
+        for a, b in itertools.pairwise(cuts):
+            text = cells[a - lo : b - lo].tobytes().translate(None, b"\0")
+            if a % height == 0:
+                text = _CHANNEL_HEADERS[a // height % 3] + text
+            yield a // (3 * height), text
+
+
+def frame_texts(images: np.ndarray) -> list[bytes]:
+    """``frame_NNNN.txt`` bytes of each frame of a ``(B, h, w, 3)`` int block."""
+    frames = itertools.groupby(_text_pieces(images), key=operator.itemgetter(0))
+    return [b"".join(piece for _, piece in parts) for _, parts in frames]
 
 
 def write_frame_txt(images: np.ndarray, paths) -> None:
     """Write the raw integer counts of each frame of a ``(B, h, w, 3)`` block.
 
     One ``# channel <name>`` block per color, one line per row, values
-    separated by single spaces.
+    separated by single spaces; each piece is written as soon as it is made.
     """
-    for data, path in zip(frame_texts(images), paths, strict=True):
-        with open(path, "wb") as fh:
-            fh.write(data)
+    _write_pieces(_text_pieces(images), paths)
 
 
 def _decimal_cells(t: np.ndarray) -> np.ndarray:

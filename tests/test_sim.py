@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghostdisk import disk, hadamard, metrics, scene, sim
@@ -526,6 +526,64 @@ def test_n155_buckets_match_per_slot_oracle(velocity, hold):
         assert row == expected, s
 
 
+@pytest.mark.parametrize("lit", [128, 129], ids=["int16", "int32"])
+def test_bucket_products_either_side_of_int16_match_python_ints(lit):
+    # n_cell = 255: rows lighting 128 pixels keep 255 * 128 = 32,640 below
+    # 2**15 and take int16 products; 129 would pass it (32,895), so they
+    # take int32.  Red is white, so every red bucket reaches 255 * lit.
+    spec = disk.make_spec(255, 1)
+    schedule = disk.build_schedule(spec)
+    gen = np.random.default_rng(lit)
+    bits = np.zeros((255, 255), dtype=np.int64)
+    for row in bits:
+        row[gen.choice(255, lit, replace=False)] = 1
+    patterns = hadamard.ReducedPatternSet(pattern_length=255, patterns=bits)
+    pixels = gen.integers(0, 256, size=(255, 255, 3), dtype=np.uint8)
+    pixels[:, :, 0] = 255
+    obj = scene.SceneObject(pixels=pixels)
+    per_rev = spec.slots_per_revolution
+    slot_count = 2 * sim.BLOCK_SLOTS + 100
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(1),
+        total_duration=Fraction(slot_count, per_rev),
+    )
+    buckets = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing).trace.buckets
+    assert len(buckets) == slot_count
+    values = pixels.tolist()
+    for s in range(0, slot_count, 61):
+        slot = schedule.slots[s % per_rev]
+        mask = disk.place_pattern(spec, slot, patterns)
+        expected = [sum(values[y][x][ch] for y, x in zip(*np.nonzero(mask))) for ch in range(3)]
+        assert expected[0] == 255 * lit
+        assert buckets[s].tolist() == expected, s
+
+
+@pytest.mark.parametrize(
+    "velocity",
+    [(Fraction(21), Fraction(-30)), (Fraction(-5), Fraction(3))],
+    ids=["reaches_clip", "stops_short"],
+)
+def test_scene_padded_by_its_motion_matches_dense_oracle(velocity):
+    # The scene is padded by each axis' step count on the side it moves
+    # towards.  Over 2 revolutions, 21 and -30 columns/rows per revolution
+    # pass +-14 (every later pose reads only padding), while -5 and 3 stop
+    # at 10 and 6 steps.
+    spec, patterns, schedule = make_setup(n=14, k=2)
+    traj = scene.Trajectory(mode="linear", velocity=velocity)
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(1, 2),
+        total_duration=Fraction(2),
+    )
+    slot_dt = timing.slot_duration(spec.slots_per_revolution)
+    offsets = [traj.offset_at(s * slot_dt) for s in range(2 * spec.slots_per_revolution)]
+    reach = [max(abs(offset[axis]) for offset in offsets) for axis in (0, 1)]
+    assert (min(reach) > 14) == (velocity[0] > 0)
+    obj = random_scene(14, 30)
+    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=1.5, seed=12)
+    assert len(result.frames) == 4
+    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 1.5, 12)
+
+
 def test_one_pose_per_slot_at_n155_runs_in_half_a_second():
     spec, patterns, schedule = make_setup(n=155, k=5)
     obj = scene.builtin_letter("T", 155, "white")
@@ -1026,6 +1084,13 @@ def test_frame_ppm_exact_past_int64_product(tmp_path):
     ),
     seed=st.integers(0, 2**32 - 1),
 )
+# Across the exporter's runs of whole rows: n=155 cuts its one frame every 35
+# rows; 4 frames at n=35 are one run; 5 frames at n=35 and 30 at n=14 cut
+# a run inside a later frame (rows 16 and 12).
+@example(count=1, shape=(155, 155), peak=2**63 - 1, seed=1)
+@example(count=4, shape=(35, 35), peak=600, seed=2)
+@example(count=5, shape=(35, 35), peak=2**63 // 510 + 1, seed=3)
+@example(count=30, shape=(14, 14), peak=511, seed=4)
 def test_frame_ppm_scaling_matches_python_ints(tmp_path_factory, count, shape, peak, seed):
     from ghostdisk import pnm
 
@@ -1069,6 +1134,15 @@ _BOUNDARY_VALUES = np.array(
     kind=st.sampled_from(["zero", "small", "boundary", "any"]),
     seed=st.integers(0, 2**32 - 1),
 )
+# Across the formatter's runs of whole rows: n=155 cuts its frame after row
+# 105 of red and 55 of green; 4 frames at n=35 are one run; 5 frames at
+# n=35, 30 at n=14 and 30 of 14 x 16 cut a run inside a later frame's green
+# or blue channel.
+@example(count=1, n=155, extra_columns=0, kind="any", seed=1)
+@example(count=4, n=35, extra_columns=0, kind="boundary", seed=2)
+@example(count=5, n=35, extra_columns=0, kind="small", seed=3)
+@example(count=30, n=14, extra_columns=0, kind="any", seed=4)
+@example(count=30, n=14, extra_columns=2, kind="boundary", seed=5)
 def test_frame_txt_block_matches_str_oracle(
     tmp_path_factory, count, n, extra_columns, kind, seed
 ):
@@ -1089,6 +1163,49 @@ def test_frame_txt_block_matches_str_oracle(
         assert path.read_bytes() == frame_txt_oracle(image)
         # A frame formatted on its own, as report does, gives the same bytes.
         assert sim.frame_texts(image[None]) == [path.read_bytes()]
+
+
+def test_frame_txt_formats_whole_rows_per_call(monkeypatch, tmp_path):
+    formatted = []
+    int_cells = sim._int_cells
+
+    def counted(values, sep):
+        formatted.append(len(values))
+        return int_cells(values, sep)
+
+    monkeypatch.setattr(sim, "_int_cells", counted)
+    gen = np.random.default_rng(7)
+    # A simulate batch at n=35 (4 frames) stays one call; one n=155 frame
+    # takes runs of 105 rows of 155 values.
+    paths = [tmp_path / f"{i}.txt" for i in range(4)]
+    sim.write_frame_txt(gen.integers(0, 10**6, size=(4, 35, 35, 3)), paths)
+    assert formatted == [4 * 3 * 35 * 35]
+    formatted.clear()
+    sim.write_frame_txt(gen.integers(0, 10**6, size=(1, 155, 155, 3)), [tmp_path / "big"])
+    assert formatted == [105 * 155] * 4 + [45 * 155]
+
+
+def test_frame_exports_trace_flat_in_frame_size(tmp_path):
+    import tracemalloc
+
+    from ghostdisk import pnm
+
+    sim.write_frame_txt(np.ones((1, 2, 2, 3), dtype=np.int64), [tmp_path / "warm.txt"])
+    for n in (155, 635):
+        # 0.55 and 9.2 MiB of frame counts, up to 10**8 each.
+        image = np.random.default_rng(n).integers(0, 10**8, size=(1, n, n, 3))
+        for write, suffix in ((sim.write_frame_txt, "txt"), (sim.write_frame_ppm, "ppm")):
+            path = tmp_path / f"frame_{n}.{suffix}"
+            tracemalloc.start()
+            try:
+                write(image, [path])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # Whole-frame formatting took 3.7 and 59 MiB for .txt, 1.7 and
+            # 28 MiB for .ppm; runs of FRAME_BLOCK_VALUES values do not grow with n.
+            assert peak < 1.5 * 2**20, (n, suffix, peak)
+        assert path.stat().st_size == len(pnm.header("P6", n, n)) + 3 * n * n
 
 
 def test_frame_images_are_views_of_one_array():
