@@ -559,15 +559,15 @@ def test_bucket_products_either_side_of_int16_match_python_ints(lit):
 
 
 @pytest.mark.parametrize(
-    "velocity",
-    [(Fraction(21), Fraction(-30)), (Fraction(-5), Fraction(3))],
+    "velocity, steps",
+    [((Fraction(21), Fraction(-30)), [14, 14]), ((Fraction(-5), Fraction(3)), [10, 6])],
     ids=["reaches_clip", "stops_short"],
 )
-def test_scene_padded_by_its_motion_matches_dense_oracle(velocity):
+def test_scene_padded_by_its_motion_matches_dense_oracle(velocity, steps):
     # The scene is padded by each axis' step count on the side it moves
     # towards.  Over 2 revolutions, 21 and -30 columns/rows per revolution
-    # pass +-14 (every later pose reads only padding), while -5 and 3 stop
-    # at 10 and 6 steps.
+    # reach the +-14 clip (later poses read only padding), while -5 and 3
+    # stop at 10 and 6 steps.
     spec, patterns, schedule = make_setup(n=14, k=2)
     traj = scene.Trajectory(mode="linear", velocity=velocity)
     timing = sim.TimingConfig(
@@ -575,9 +575,8 @@ def test_scene_padded_by_its_motion_matches_dense_oracle(velocity):
         total_duration=Fraction(2),
     )
     slot_dt = timing.slot_duration(spec.slots_per_revolution)
-    offsets = [traj.offset_at(s * slot_dt) for s in range(2 * spec.slots_per_revolution)]
-    reach = [max(abs(offset[axis]) for offset in offsets) for axis in (0, 1)]
-    assert (min(reach) > 14) == (velocity[0] > 0)
+    slot_count = 2 * spec.slots_per_revolution
+    assert [len(sim._pose_steps(v, slot_dt, slot_dt, 14, slot_count)) for v in velocity] == steps
     obj = random_scene(14, 30)
     result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=1.5, seed=12)
     assert len(result.frames) == 4
@@ -1202,7 +1201,7 @@ def test_frame_exports_trace_flat_in_frame_size(tmp_path):
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            # Whole-frame formatting took 3.7 and 59 MiB for .txt, 1.7 and
+            # Whole-frame formatting took 3.7 and 62 MiB for .txt, 1.7 and
             # 28 MiB for .ppm; runs of FRAME_BLOCK_VALUES values do not grow with n.
             assert peak < 1.5 * 2**20, (n, suffix, peak)
         assert path.stat().st_size == len(pnm.header("P6", n, n)) + 3 * n * n
