@@ -24,7 +24,6 @@ y = (c_max - c_min) * x + c_min * sum(x) is undone in integer arithmetic.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,51 +204,62 @@ def frame_report(
     object as seen during the frame; a cell whose lit pixels share one
     level gets the binary prediction, one with mixed nonzero levels and
     the full frame get none: ``None, None``.
+
+    Every column is an array over (row, cell, channel), reduced from
+    contiguous (row, cell, channel, pixel) copies.  Measured fractions are
+    reduced by ``np.gcd`` in uint64, exact for any nonnegative int64
+    extrema: ``top + bottom < 2**64``, and ``tolist`` gives Python ints.
     """
     n, k, n_cell = spec.n, spec.k, spec.n_cell
-    scene = np.asarray(scene_pixels, dtype=np.int64)
-    cells = scene.reshape(n, k, n_cell, 3)
+
+    def per_cell(a: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(np.asarray(a).reshape(n, k, n_cell, 3).transpose(0, 1, 3, 2))
+
+    cells, values = per_cell(scene_pixels), per_cell(image)
     lit = cells > 0
     # Per (row, cell, channel): lit pixel count, whether they share one
-    # level, and the frame's in-cell extrema.
-    n_obj = lit.sum(axis=2)
-    one_level = cells.max(axis=2) == np.where(lit, cells, np.iinfo(np.int64).max).min(axis=2)
-    values = np.asarray(image).reshape(n, k, n_cell, 3)
-    hi, lo = values.max(axis=2), values.min(axis=2)
-    if np.any((lo < 0) & (n_obj > 0) & (n_obj < n_cell)):
+    # level (the cell's maximum stands in for unlit pixels, so an empty
+    # cell counts as one level), and the frame's in-cell extrema.
+    n_obj = lit.sum(axis=-1)
+    level = cells.max(axis=-1)
+    one_level = np.where(lit, cells, level[..., None]).min(axis=-1) == level
+    hi, lo = values.max(axis=-1), values.min(axis=-1)
+    partial = (n_obj > 0) & (n_obj < n_cell)
+    if np.any(partial & (lo < 0)):
         raise ValueError("contrast is defined for nonnegative values")
-    predicted = {
-        m: predicted_contrast_reduced(n_cell, m).as_integer_ratio()
-        for m in set(n_obj[one_level].tolist())
-    }
-    predicted[0] = (0, 1)
-    lit_full = np.any((n_obj == n_cell) & (hi != 0))
-    full = predicted_contrast_cell(n_cell).as_integer_ratio() if lit_full else None
-
-    rows = []
-    for (row, cell, channel), count, same, top, bottom in zip(
-        np.ndindex(n, k, 3), *(a.ravel().tolist() for a in (n_obj, one_level, hi, lo))
-    ):
-        # As cell_report_contrast, in Python ints exact past int64: raw extrema
-        # for a partly lit cell, the model value for a fully lit one, 0 when
-        # empty or dark (a partly lit cell with a negative value was refused above).
-        if count == 0 or top == 0:
-            measured = (0, 1)
-        elif count == n_cell:
-            measured = full
-        else:
-            g = math.gcd(top - bottom, top + bottom)
-            measured = ((top - bottom) // g, (top + bottom) // g)
-        pred = predicted[count] if count == 0 or same else (None, None)
-        rows.append((f"r{row}c{cell}", CHANNEL_NAMES[channel], count, *pred, *measured))
-    for channel, channel_name in enumerate(CHANNEL_NAMES):
-        measured = measured_contrast(image[:, :, channel]).as_integer_ratio()
-        count = int(np.count_nonzero(scene[:, :, channel]))
+    # As cell_report_contrast: 0 when empty or dark, raw extrema for a
+    # partly lit cell, the model value for a fully lit one.
+    partial &= hi != 0
+    full = (n_obj == n_cell) & (hi != 0)
+    top = np.where(partial, hi, 1).astype(np.uint64)
+    bottom = np.where(partial, lo, 0).astype(np.uint64)
+    num, den = top - bottom, top + bottom
+    g = np.gcd(num, den)
+    num //= g
+    den //= g
+    num[~partial], den[~partial] = 0, 1
+    if full.any():
+        num[full], den[full] = predicted_contrast_cell(n_cell).as_integer_ratio()
+    # Predictions by lit count: 0 for an empty cell, none for mixed levels.
+    pred_num, pred_den = np.zeros(n_cell + 1, np.int64), np.ones(n_cell + 1, np.int64)
+    for m in set(n_obj[one_level & (n_obj > 0)].tolist()):
+        pred_num[m], pred_den[m] = predicted_contrast_reduced(n_cell, m).as_integer_ratio()
+    regions = [f"r{row}c{cell}" for row in range(n) for cell in range(k) for _ in CHANNEL_NAMES]
+    predicted = (np.where(one_level, table[n_obj], None) for table in (pred_num, pred_den))
+    columns = (a.ravel().tolist() for a in (n_obj, *predicted, num, den))
+    rows = list(zip(regions, CHANNEL_NAMES * (n * k), *columns))
+    extrema = np.stack((hi, lo))
+    counts = np.count_nonzero(cells, axis=(0, 1, 3)).tolist()
+    for channel, (channel_name, count) in enumerate(zip(CHANNEL_NAMES, counts)):
+        measured = measured_contrast(extrema[..., channel]).as_integer_ratio()
         rows.append(("full", channel_name, count, None, None, *measured))
     return rows
 
 
 def write_report_csv(rows: list[tuple], path) -> None:
-    lines = ["region,channel,n_obj,predicted_num,predicted_den,measured_num,measured_den"]
-    lines += [",".join("" if v is None else str(v) for v in row) for row in rows]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    """Write ``frame_report`` rows as ``report.csv``; ``None`` fields stay empty."""
+    lines = ["region,channel,n_obj,predicted_num,predicted_den,measured_num,measured_den\n"]
+    for region, channel, count, p_num, p_den, m_num, m_den in rows:
+        predicted = "," if p_num is None else f"{p_num},{p_den}"
+        lines.append(f"{region},{channel},{count},{predicted},{m_num},{m_den}\n")
+    Path(path).write_bytes("".join(lines).encode("ascii"))

@@ -29,10 +29,12 @@ Derived draws, also fixed by this module:
                ``sqrt(-2 ln u1) * cos(2 pi u2)`` with ``u1`` from the even
                word and ``u2`` from the odd word.
 
-``words`` evaluates a whole counter range at once in numpy ``uint64``.
-``rounded_noise`` gives the noise counts ``floor(sigma * z + 0.5)`` of a
-range of draws, equal to the scalar ones; its ``z`` take numpy's ``log`` and
-``cos``, and libm's only where a last-bit difference could change a count.
+``words`` evaluates a whole counter range, or every ``step``-th word of
+one, at once in numpy ``uint64``.  ``rounded_noise`` gives the noise counts
+``floor(sigma * z + 0.5)`` of a range of draws, equal to the scalar ones,
+from its even and its odd words as two contiguous arrays; its ``z`` take
+numpy's ``log`` and ``cos``, and libm's only where a last-bit difference
+could change a count.
 """
 
 from __future__ import annotations
@@ -78,43 +80,62 @@ def gaussian(seed: int, index: int) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
-def words(seed: int, lo: int, hi: int) -> np.ndarray:
-    """Words ``lo .. hi-1`` as uint64, equal to ``word`` for each index."""
+def words(seed: int, lo: int, hi: int, step: int = 1) -> np.ndarray:
+    """Words ``lo, lo + step, ...`` below ``hi`` as uint64, equal to ``word`` for each index."""
     if not 0 <= lo <= hi:
         raise ValueError(f"word range must satisfy 0 <= lo <= hi, got [{lo}, {hi})")
     # Every operand is an explicit uint64: NumPy 1.x would turn uint64 mixed
     # with a Python int into float64.  Products wrap modulo 2^64 on purpose.
     with np.errstate(over="ignore"):
-        first = np.uint64((seed + (lo + 1) * _PHI) & _MASK64)
-        z = first + np.arange(hi - lo, dtype=np.uint64) * np.uint64(_PHI)
-        z ^= z >> np.uint64(30)
+        z = np.arange(len(range(lo, hi, step)), dtype=np.uint64)
+        z *= np.uint64(step * _PHI & _MASK64)
+        z += np.uint64((seed + (lo + 1) * _PHI) & _MASK64)
+        t = np.empty_like(z)  # each shift's result, so every step runs in place
+        z ^= np.right_shift(z, np.uint64(30), out=t)
         z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=t)
         z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
+
+
+def _uniforms(z: np.ndarray) -> np.ndarray:
+    """uint64 words ``z`` as ``uniform`` maps them, to doubles in (0, 1]; overwrites ``z``."""
+    z >>= np.uint64(11)
+    z += np.uint64(1)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def rounded_noise(seed: int, lo: int, hi: int, sigma: float) -> np.ndarray:
     """``floor(sigma * gaussian(seed, i) + 0.5)`` for ``i`` in ``lo .. hi-1``, as int64.
 
-    Each draw first takes numpy's ``log`` and ``cos`` in ``gaussian``'s float
-    steps.  Assumed: they lie within ``2**-40 |log(u1)|`` and ``2**-40`` of
-    libm's (both promise a few units in the last place).  Then ``z`` (``|z|
-    < 8.6``) moves by under ``2**-36``, and, with four roundings of at most
-    ``2**-53 (8.6 sigma + 1.5)``, ``y = sigma * z + 0.5`` by under ``m =
-    sigma * 2**-30 + 2**-50``.  So only a draw whose exact ``|y - round(y)|
-    <= m``, or a NaN, can change its floor; those take libm's (all, with no
-    numpy pass, once ``m >= 0.5``).
+    The even words (``u1``) and the odd ones (``u2``) are drawn as two
+    contiguous arrays.  Each draw first takes numpy's ``log`` and ``cos`` in
+    ``gaussian``'s float steps.  Assumed: they lie within ``2**-40 |log(u1)|``
+    and ``2**-40`` of libm's (both promise a few units in the last place).
+    Then ``z`` (``|z| < 8.6``) moves by under ``2**-36``, and, with four
+    roundings of at most ``2**-53 (8.6 sigma + 1.5)``, ``y = sigma * z +
+    0.5`` by under ``m = sigma * 2**-30 + 2**-50``.  So only a draw whose
+    exact ``|y - round(y)| <= m``, or a NaN, can change its floor; those
+    take libm's (all, with no numpy pass, once ``m >= 0.5``).
     """
-    z = words(seed, 2 * lo, 2 * hi)
-    u = ((z >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-    u1, t = u[0::2], 2.0 * math.pi * u[1::2]
+    u1, t = (_uniforms(words(seed, 2 * lo + odd, 2 * hi + odd, 2)) for odd in (0, 1))
+    t *= 2.0 * math.pi
     y, near = np.empty_like(u1), slice(None)
-    if sigma * 2.0**-30 + 2.0**-50 < 0.5:
-        y = sigma * (np.sqrt(-2.0 * np.log(u1)) * np.cos(t)) + 0.5
-        near = ~(np.abs(y - np.round(y)) > sigma * 2.0**-30 + 2.0**-50)
+    margin = sigma * 2.0**-30 + 2.0**-50
+    if margin < 0.5:
+        # sigma * (sqrt(-2 log u1) * cos t) + 0.5 in place; log and cos take no out=.
+        y = np.log(u1)
+        y *= -2.0
+        np.sqrt(y, out=y)
+        y *= np.cos(t)
+        y *= sigma
+        y += 0.5
+        near = ~(np.abs(y - np.round(y)) > margin)
     log_u1 = np.fromiter(map(math.log, u1[near].tolist()), np.float64)
     cos_t = np.fromiter(map(math.cos, t[near].tolist()), np.float64)
     y[near] = sigma * (np.sqrt(-2.0 * log_u1) * cos_t) + 0.5
     return np.floor(y).astype(np.int64)
+

@@ -41,11 +41,17 @@ one-slot sliding step projects one or two cells, a whole window every
 cell.  Slot ``s`` sits at ``s % ring`` of a ring of whole blocks that
 still holds a sliding window's leaving slots, and no slot moves once
 written, so a run's time grows with its slots and frames, not its window.
+Every value the walk forms, a bucket, a partial sum of ``np.add.at`` into
+``dB`` or of the GEMM in any summation order, or the accumulator, is an
+integer within +-peak (see ``_check_frame_peak``).  So below ``2**53`` the
+ring, ``dB``, the accumulator and ``R`` are float64, exact, and the GEMM
+runs through BLAS; from ``2**53`` on they are int64.
 ``simulate`` hands each block's bucket rows and closed frames to a sink as
 it goes, or collects them into one ``SimulationResult``.  Streamed, a run
-holds, whatever its length, the accumulator and ``dB`` (``n^2 x 3`` int64
-each), the ring of buckets, the per-position table ``pos``, one batch of
-frames, the scene padded by its motion, and one block's temporaries.
+holds, whatever its length, the accumulator and ``dB`` (``n^2 x 3`` each),
+the ring of buckets, the per-position table ``pos``, one batch of frames,
+the scene padded by its motion, and one block's temporaries, its bucket
+products taken ``PRODUCT_PIXELS`` cell pixels at a time.
 
 Frame exports format and scale the (frame, channel, row) or (frame, row)
 stream in runs of whole rows, at most ``FRAME_BLOCK_VALUES`` values each,
@@ -97,9 +103,12 @@ WINDOW_MODES = ("tumbling", "sliding")
 # and noise plus any bucket (at most 255 * n_cell) fits in int64.
 NOISE_SIGMA_MAX = 5e17
 
-# Slots per block of bucket products, noise and accumulator updates; bounds
-# the per-block temporaries.
+# Slots per block of bucket products, noise and accumulator updates.
 BLOCK_SLOTS = 4096
+
+# Posed-cell pixels per chunk of a block's bucket products (whole slots),
+# so their temporaries do not grow with n_cell; one chunk up to n_cell 32.
+PRODUCT_PIXELS = 1 << 17
 
 # Frame values handed to a sink per call, at least one frame (4 frames at
 # n = 35, one at n = 155).  Frame exports format and scale at most this
@@ -240,11 +249,13 @@ def simulate(
             f"{shown} frames of {spec.n}x{spec.n} pixels cannot be indexed: "
             "lengthen persistence_time"
         )
-    _check_frame_peak(patterns, per_rev, window_slots, noise_sigma)
+    peak = _check_frame_peak(patterns, per_rev, window_slots, noise_sigma)
+    # Every walk value lies within +-peak: exact in float64 below 2**53.
+    dtype = np.float64 if peak < 2**53 else np.int64
 
     blocks = _bucket_blocks(scene, trajectory, schedule, patterns, slot_dt, slot_count,
                             float(noise_sigma), seed)
-    parts = _windows(schedule, patterns.patterns, timing, blocks)
+    parts = _windows(schedule, patterns.patterns, timing, blocks, dtype)
     if sink is not None:
         for part in parts:
             sink(*part)
@@ -288,10 +299,11 @@ def _bucket_blocks(
     each axis moves towards (not at all for a static scene), and
     ``win[y, x]`` reads the ``n_cell`` pixels from ``(y, x)`` rightward.  A
     slot's posed cell is then ``win[row - dy + top, cell * n_cell - dx +
-    left]``.  The block gathers every slot's pattern row and posed cell by
-    index, takes their products in int16 while a bucket, at most ``255 *
-    per_slot``, fits (int32 otherwise), and draws its noise at once,
-    Gaussian index ``3 * slot + channel``.
+    left]``.  The block gathers its slots' pattern rows and posed cells by
+    index, at most ``PRODUCT_PIXELS`` cell pixels at a time, takes their
+    products in int16 while a bucket, at most ``255 * per_slot``, fits
+    (int32 otherwise), and draws its noise at once, Gaussian index ``3 *
+    slot + channel``.
     """
     spec = schedule.spec
     n, n_cell = spec.n, spec.n_cell
@@ -307,16 +319,20 @@ def _bucket_blocks(
     per_slot = int(patterns.patterns.sum(axis=1).max())
     dtype = np.int16 if 255 * per_slot < 2**15 else np.int32
     matrix = patterns.patterns.astype(dtype)
+    chunk = max(1, PRODUCT_PIXELS // n_cell)
     # Every temporary dies before the yield: a suspended walk holds none.
     for b_lo in range(0, slot_count, BLOCK_SLOTS):
         b_hi = min(b_lo + BLOCK_SLOTS, slot_count)
-        slots = np.arange(b_lo, b_hi)
-        dx, dy = (sign * np.searchsorted(steps, slots, "right") for sign, steps in axes)
-        j = slots % per_rev
-        cells = win[schedule.rows[j] - dy + top, schedule.cells[j] * n_cell - dx + left]
-        rows = matrix[schedule.pattern_index[j], None]  # (slots, 1, n_cell)
-        buckets = (rows @ cells.reshape(-1, n_cell, 3).astype(dtype))[:, 0].astype(np.int64)
-        del slots, dx, dy, j, cells, rows
+        buckets = np.empty((b_hi - b_lo, 3), dtype=np.int64)
+        for c_lo in range(b_lo, b_hi, chunk):
+            slots = np.arange(c_lo, min(c_lo + chunk, b_hi))
+            dx, dy = (sign * np.searchsorted(steps, slots, "right") for sign, steps in axes)
+            j = slots % per_rev
+            cells = win[schedule.rows[j] - dy + top, schedule.cells[j] * n_cell - dx + left]
+            rows = matrix[schedule.pattern_index[j], None]  # (slots, 1, n_cell)
+            products = rows @ cells.reshape(-1, n_cell, 3).astype(dtype)
+            buckets[c_lo - b_lo : c_lo - b_lo + len(slots)] = products[:, 0]
+            del slots, dx, dy, j, cells, rows, products
         if sigma > 0:
             buckets += rng.rounded_noise(seed, 3 * b_lo, 3 * b_hi, sigma).reshape(-1, 3)
             np.maximum(buckets, 0, out=buckets)
@@ -325,8 +341,8 @@ def _bucket_blocks(
 
 def _check_frame_peak(
     patterns: ReducedPatternSet, per_rev: int, window_slots: int, noise_sigma: float
-) -> None:
-    """Refuse a run whose frames could pass int64, before any work.
+) -> int:
+    """Bound every frame value and walk sum; refuse a run that could pass int64.
 
     A bucket is at most ``255 * per_slot`` plus the largest rounded noise,
     ``floor(sigma * sqrt(106 ln 2)) + 1`` (``rng.rounded_noise`` rounds each
@@ -348,6 +364,11 @@ def _check_frame_peak(
     stays within +-peak.  Each ``dB`` entry is likewise a difference of two
     sums of at most ``visits`` buckets, within +-peak unless every pattern
     is dark, when every product with it is 0.
+
+    Returns ``peak``.  Each partial sum of ``np.add.at`` into ``dB``, or of
+    the GEMM in any order, is one of the differences above, so every value
+    the walk forms is an integer within +-peak: exact in float64 below
+    ``2**53``, where the walk runs in float64 (int64 otherwise).
     """
     per_slot = int(patterns.patterns.sum(axis=1).max())
     per_pixel = int(patterns.patterns.sum(axis=0).max())
@@ -360,6 +381,7 @@ def _check_frame_peak(
             f"frames could reach 2**{peak.bit_length() - 1} counts or more, past int64: "
             "shorten persistence_time or lower noise_sigma"
         )
+    return peak
 
 
 def window_grid(timing: TimingConfig, slot_dt: Fraction) -> tuple[Fraction, int]:
@@ -379,6 +401,7 @@ def _windows(
     matrix: np.ndarray,  # (n_cell, n_cell) 0/1 patterns
     timing: TimingConfig,
     blocks: Iterable[tuple[int, np.ndarray]],
+    dtype: type[np.generic],
 ) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     """Exposure frames of either window mode, from one running accumulator.
 
@@ -399,18 +422,20 @@ def _windows(
     rounded up to whole blocks, so no block wraps or moves.  Each range
     adds into ``dB`` by one ``np.add.at``, which sums the positions it
     repeats; a slot enters and leaves once, whatever the window's length.
+    The ring, ``dB``, the accumulator and the matrix share ``dtype``, so
+    ``np.add.at`` keeps numpy's one-dtype fast path; frames leave as int64.
     """
     spec = schedule.spec
     per_rev, n_cell = spec.slots_per_revolution, spec.n_cell
     window = timing.persistence_window
     slot_dt = timing.slot_duration(per_rev)
     step, count = window_grid(timing, slot_dt)
-    acc = np.zeros((spec.n * spec.k, n_cell, 3), dtype=np.int64)
+    acc = np.zeros((spec.n * spec.k, n_cell, 3), dtype=dtype)
     sums = np.zeros_like(acc)  # dB: the pending buckets per (row * k + cell, pattern)
     pos = (schedule.rows * spec.k + schedule.cells) * n_cell + schedule.pattern_index
     touched = np.zeros(len(acc), dtype=bool)  # cells with a pending dB
     chunk = max(1, BLOCK_SLOTS // n_cell)
-    matrix_t = np.ascontiguousarray(matrix.T)
+    matrix_t = np.ascontiguousarray(matrix.T, dtype=dtype)
     batch = np.empty((max(1, FRAME_BLOCK_VALUES // (3 * per_rev)), spec.n, spec.n, 3), np.int64)
     # Window i holds slots [ceil(i * a / d), ceil((i * a + w) / d)): step and
     # window in slots, over a common denominator d.
@@ -418,7 +443,7 @@ def _windows(
     a, w = int(step / slot_dt * d), int(window / slot_dt * d)
     keep = -(-w // d) if timing.window_mode == "sliding" and count else 0
     ring = -(-(keep + BLOCK_SLOTS) // BLOCK_SLOTS) * BLOCK_SLOTS
-    history = np.zeros((ring, 3), dtype=np.int64)
+    history = np.zeros((ring, 3), dtype=dtype)
 
     def add(lo: int, hi: int, sign: int) -> None:
         # Entering slots lie in the current block (cur_hi == b_lo as it
@@ -725,5 +750,5 @@ def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
             rgb[:, -1] = ord("\n")
             cells = np.concatenate([_decimal_cells(t[i:j]), slots[i:j], rgb[i:j]], axis=1)
             fh.write(repr_rows(block[:i], s_lo))
-            fh.write(cells[cells != 0].tobytes())
+            fh.write(cells.tobytes().translate(None, b"\0"))
             fh.write(repr_rows(block[j:], s_lo + j))

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ghostdisk import disk, hadamard, metrics, scene, sim
 
@@ -342,6 +345,29 @@ def test_frame_report_matches_per_cell_loop(frame_kind):
     for report in (metrics.frame_report, report_rows_oracle):
         with pytest.raises(ValueError, match="nonnegative"):
             report(frame, pixels, spec)
+
+
+@st.composite
+def report_scenes(draw):
+    """n=14, k=2 scenes whose (row, cell, channel) cells are each empty,
+    fully lit at one level, partly lit at one level, or random levels."""
+    kind = draw(arrays(np.int8, (14, 2, 1, 3), elements=st.integers(0, 3)))
+    level = draw(arrays(np.uint8, (14, 2, 1, 3), elements=st.integers(1, 255)))
+    bits = draw(arrays(np.bool_, (14, 2, 7, 3)))
+    mixed = draw(arrays(np.uint8, (14, 2, 7, 3)))
+    cells = np.where(kind == 1, level, np.where(kind == 2, level * bits, mixed))
+    return np.where(kind == 0, 0, cells).astype(np.uint8).reshape(14, 14, 3)
+
+
+# Small values, flat cells and values in [2**62, 2**63), whose sums pass int64.
+REPORT_VALUES = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(2**62, 2**63 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(report_scenes(), arrays(np.int64, (14, 14, 3), elements=REPORT_VALUES))
+def test_frame_report_equals_per_cell_loop_on_random_scenes(pixels, frame):
+    spec = disk.make_spec(14, 2)
+    assert metrics.frame_report(frame, pixels, spec) == report_rows_oracle(frame, pixels, spec)
 
 
 def test_report_csv_format(tmp_path):

@@ -70,6 +70,9 @@ def test_words_match_scalar_word(seed):
     got = rng.words(seed, 3, 300)
     assert got.dtype == np.uint64
     assert got.tolist() == [rng.word(seed, i) for i in range(3, 300)]
+    # Every step-th word, as rounded_noise draws its even and odd words.
+    for lo, step in ((3, 2), (4, 2), (10, 7)):
+        assert rng.words(seed, lo, 300, step).tolist() == got[lo - 3 :: step].tolist()
     assert rng.words(seed, 5, 5).shape == (0,)
     with pytest.raises(ValueError):
         rng.words(seed, 4, 3)
@@ -96,6 +99,9 @@ GAUSSIAN_RANGES = (
     (7, 12_345, 212_345),
     (12_345_678_901_234_567, 2**40, 2**40 + 200_000),
     (2**64 - 1, 3 * 4096 - 7, 3 * 4096 + 199_993),
+    # An odd first draw and an odd number of draws, so the even and the
+    # odd word arrays each start at an odd draw and hold an odd count.
+    (11, 3 * 4096 + 1, 3 * 4096 + 20_002),
 )
 
 

@@ -558,6 +558,85 @@ def test_bucket_products_either_side_of_int16_match_python_ints(lit):
         assert buckets[s].tolist() == expected, s
 
 
+@pytest.mark.parametrize("moving", [False, True], ids=["static", "moving"])
+def test_bucket_block_at_n_cell_255_traces_under_3_mib(moving):
+    import tracemalloc
+
+    # Both benchmark workloads (n_cell 31 and 7) keep one product chunk per block.
+    assert sim.PRODUCT_PIXELS // 31 >= sim.BLOCK_SLOTS
+    spec = disk.make_spec(255, 1)
+    patterns = hadamard.reduce_matrix(hadamard.sylvester_hadamard(256))
+    schedule = disk.build_schedule(spec)
+    obj = random_scene(255, 7)
+    slot_dt = Fraction(1, 255 * 255)
+    # One pixel per slot on both axes: the scene is padded by 255 each way.
+    velocity = (Fraction(255 * 255), Fraction(-255 * 255)) if moving else (0, 0)
+    traj = scene.Trajectory(mode="linear" if moving else "static", velocity=velocity)
+
+    def block_peak():
+        tracemalloc.start()
+        try:
+            blocks = sim._bucket_blocks(obj, traj, schedule, patterns, slot_dt, sim.BLOCK_SLOTS,
+                                        1.0, 5)
+            assert sum(len(buckets) for _, buckets in blocks) == sim.BLOCK_SLOTS
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block_peak()  # first-call caches
+    # Gathering a whole block of 4,096 posed 255-pixel cells at once holds
+    # 3 MiB of uint8 cells, 6 MiB of their int16 copy and 2 MiB of pattern
+    # rows (11.4 MiB traced in all); chunks of PRODUCT_PIXELS hold 1.8 MiB.
+    assert block_peak() <= 3 * 2**20
+
+
+@pytest.mark.parametrize("pixels", [1, 22, 7 * 4096])
+def test_bucket_products_in_small_chunks_match_dense_oracle(monkeypatch, pixels):
+    # n_cell 7: chunks of one slot, of three (which do not divide a block),
+    # and of a whole block, over two blocks of a moving, noisy run.
+    monkeypatch.setattr(sim, "PRODUCT_PIXELS", pixels)
+    spec, patterns, schedule = make_setup(n=14, k=2)
+    traj = scene.Trajectory(mode="linear", velocity=(Fraction(1, 2), Fraction(-1, 3)))
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(3),
+        total_duration=Fraction(22),
+    )
+    obj = random_scene(14, 31)
+    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=13)
+    assert len(result.trace.buckets) == 22 * 196 > sim.BLOCK_SLOTS
+    assert len(result.frames) == 7
+    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 13)
+
+
+@pytest.mark.parametrize("window_mode", sim.WINDOW_MODES)
+@pytest.mark.parametrize("sigma, dtype", [(1.0, np.float64), (1e16, np.int64)],
+                         ids=["float64", "int64"])
+def test_window_walk_either_side_of_2_53_matches_dense_oracle(monkeypatch, window_mode, sigma,
+                                                              dtype):
+    # The walk runs in float64 while _check_frame_peak's bound stays below
+    # 2**53 and in int64 past it.  At sigma 1e16 single buckets pass 2**53
+    # and frames hold odd values above it, which float64 cannot hold.
+    spec, patterns, schedule = make_setup(n=7, k=1)
+    per_rev = spec.slots_per_revolution
+    window = Fraction(3) if window_mode == "tumbling" else Fraction(1)
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=window, window_mode=window_mode,
+        total_duration=Fraction(6 if window_mode == "tumbling" else 2),
+    )
+    peak = sim._check_frame_peak(patterns, per_rev, int(window * per_rev), sigma)
+    assert (peak < 2**53) == (dtype is np.float64)
+    walks, windows = [], sim._windows
+    monkeypatch.setattr(sim, "_windows", lambda *args: walks.append(args[-1]) or windows(*args))
+    traj = scene.Trajectory(mode="linear", velocity=(Fraction(2), Fraction(-1)))
+    obj = random_scene(7, 32)
+    result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=sigma, seed=14)
+    assert walks == [dtype]
+    assert len(result.frames) == (2 if window_mode == "tumbling" else per_rev + 1)
+    if dtype is np.int64:
+        assert np.any((result.images > 2**53) & (result.images % 2 == 1))
+    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, sigma, 14)
+
+
 @pytest.mark.parametrize(
     "velocity, steps",
     [((Fraction(21), Fraction(-30)), [14, 14]), ((Fraction(-5), Fraction(3)), [10, 6])],
@@ -617,7 +696,7 @@ def test_one_revolution_at_n155_traces_little_beyond_its_result():
     assert peak - own <= 14 * 2**20
 
 
-def window_pass(schedule, matrix, timing, buckets):
+def window_pass(schedule, matrix, timing, buckets, dtype=np.float64):
     """The frames of ``sim._windows`` fed a finished trace in blocks."""
     n = schedule.spec.n
     slot_dt = timing.slot_duration(n * n)
@@ -625,7 +704,7 @@ def window_pass(schedule, matrix, timing, buckets):
     blocks = [
         (lo, buckets[lo : lo + sim.BLOCK_SLOTS]) for lo in range(0, len(buckets), sim.BLOCK_SLOTS)
     ]
-    for _, _, frame_lo, images in sim._windows(schedule, matrix, timing, blocks):
+    for _, _, frame_lo, images in sim._windows(schedule, matrix, timing, blocks, dtype):
         out[frame_lo : frame_lo + len(images)] = images
     return out
 
