@@ -1,70 +1,28 @@
 """Time-domain simulation of the spinning-disk measurement.
 
-One disk revolution plays the full scan schedule; each schedule slot
-illuminates its cell with its pattern for a fixed fraction of the
-revolution period.  The bucket detector reports, per color channel, the sum
-of scene values under the lit pixels.  Each slot then adds
-``bucket * mask`` into the exposure accumulator, which is the standard
-second-order correlation estimate restricted to that slot's cell.
+README's "Determinism and noise" is the long form of this design and its
+costs.  The invariants the code keeps, and where each is argued:
 
-Exposure windows model a finite persistence time T:
-
-* ``tumbling`` -- back-to-back windows [w*T, (w+1)*T); only windows that
-  fit completely inside the simulated duration are emitted.
-* ``sliding``  -- one window per slot start time t, covering [t, t+T),
-  emitted while the window end stays inside the duration.
-
-A slot belongs to a window when its start time lies inside the window.
-All timing is exact rational arithmetic, so window membership never
-depends on floating-point rounding.
-
-Detector noise, when enabled, perturbs each bucket value with a Gaussian
-read from the counter-based generator at index ``3 * slot + channel``, so
-any slot's noise can be reproduced without replaying the slots before it.
-Its rounded counts take numpy's ``log`` and ``cos`` (``rng.rounded_noise``),
-and libm's only where a last-bit difference could change one.
-
-Motion is sampled per slot: each axis' offset is the count of the slots,
-found once per run in exact integers, where its magnitude first reaches
-1, 2, ..., n.  Offsets, so clipped to +-n, index one copy of the scene
-zero-padded by that count on each axis, and static, held and free motion
-take one path at one cost.
-
-A run is one walk, in one thread, over blocks of ``BLOCK_SLOTS`` slots.
-Each block gathers its buckets' pattern rows and posed cells by index,
-adds its noise, and folds its buckets into one running accumulator; the
-frames whose window ends inside the block then close.  Each window's
-leaving and entering slots add their buckets into ``dB`` per (row, cell,
-pattern) by one ``np.add.at``, and only the cells they touched go through
-the ``n_cell x n_cell`` pattern matrix, as ``acc += R^T @ dB``: a
-one-slot sliding step projects one or two cells, a whole window every
-cell.  Slot ``s`` sits at ``s % ring`` of a ring of whole blocks that
-still holds a sliding window's leaving slots, and no slot moves once
-written, so a run's time grows with its slots and frames, not its window.
-Every value the walk forms, a bucket, a partial sum of ``np.add.at`` into
-``dB`` or of the GEMM in any summation order, or the accumulator, is an
-integer within +-peak (see ``_check_frame_peak``).  So below ``2**53`` the
-ring, ``dB``, the accumulator and ``R`` are float64, exact, and the GEMM
-runs through BLAS; from ``2**53`` on they are int64.
-``simulate`` hands each block's bucket rows and closed frames to a sink as
-it goes, or collects them into one ``SimulationResult``.  Streamed, a run
-holds, whatever its length, the accumulator and ``dB`` (``n^2 x 3`` each),
-the ring of buckets, the per-position table ``pos``, one batch of frames,
-the scene padded by its motion, and one block's temporaries, its bucket
-products taken ``PRODUCT_PIXELS`` cell pixels at a time.
-
-Frame exports format and scale the (frame, channel, row) or (frame, row)
-stream in runs of whole rows, at most ``FRAME_BLOCK_VALUES`` values each,
-and write each piece as it is made.  Both text exports, frame ``.txt``
-files and ``bucket.csv``, spell their integers as arrays through one
-base-10**4 digit-group formatter.
-``bucket.csv``'s times are each slot start's ``repr``: for times in [1e-4,
-2**50) its shortest round-trip digits come from exact integer array
-arithmetic (``_decimal_cells``), and only the rest call ``repr`` itself.
+* A slot's bucket is, per channel, the scene posed at the slot's start
+  summed under its pattern, and it adds ``bucket * mask`` to every window
+  whose time span holds that start (``window_grid``, exact ``Fraction`` times).
+* Each axis' offset is the slot's count of ``_pose_steps``, clipped to
+  +-n, so static, held and free motion take one path.
+* Buckets are at most 3 dense products per pose segment, block and
+  revolution (``_grid_runs``), exact in float32 (``_bucket_blocks``).
+* Slot ``s``, channel ``c`` takes Gaussian ``3 * s + c``
+  (``rng.rounded_noise``), so no value depends on evaluation order.
+* Every walk value lies within +-peak (``_check_frame_peak``): float64
+  below ``2**53``, int64 past it, exact either way.
+* A streamed run holds arrays that do not grow with its length
+  (``simulate``, ``_windows``), and exports take runs of whole rows of at
+  most ``FRAME_BLOCK_VALUES`` values.
+* ``bucket.csv`` times are each slot start's ``repr`` (``_decimal_cells``).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -74,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pnm, rng
 from .disk import ScanSchedule, check_pattern_length
@@ -223,7 +180,7 @@ def simulate(
     and each call at most ``FRAME_BLOCK_VALUES`` frame values (at least one
     frame).  Both arrays are reused once the call returns, so a sink copies
     what it keeps.  The result then holds no frames and an empty trace, and
-    the run holds what the module docstring lists, whatever its length.
+    the run holds the same arrays whatever its length (README lists them).
 
     Raises ``ValueError`` up front, before any slot is simulated, when the
     seed lies outside [0, 2**64), a frame could overflow int64 (see
@@ -280,6 +237,30 @@ def simulate(
     )
 
 
+def _grid_runs(
+    lo: int, hi: int, cuts: list[int], per_rev: int, width: int
+) -> Iterator[tuple[int, int, list[tuple[int, int, int, int]]]]:
+    """``(s_lo, s_hi, rects)`` for each run of slots in ``[lo, hi)`` at one pose.
+
+    Runs split at each slot of ``cuts`` (where a pose starts) and at each
+    revolution's first slot.  A run's schedule slots ``s % per_rev`` fill a
+    grid of ``width`` columns row by row, and ``rects`` lists, in slot
+    order, the ``(major_lo, major_hi, minor_lo, minor_hi)`` rectangles that
+    tile them: a partial head row, the whole rows and a partial tail row.
+    """
+    inner = cuts[bisect.bisect_right(cuts, lo) : bisect.bisect_left(cuts, hi)]
+    edges = sorted({lo, hi, *inner, *range(lo - lo % per_rev + per_rev, hi, per_rev)})
+    for s_lo, s_hi in itertools.pairwise(edges):
+        j = s_lo % per_rev
+        (r0, c0), (r1, c1) = divmod(j, width), divmod(j + s_hi - s_lo, width)
+        if r0 == r1:
+            yield s_lo, s_hi, [(r0, r0 + 1, c0, c1)]
+            continue
+        whole = r0 + (c0 > 0)
+        rects = [(r0, whole, c0, width), (whole, r1, 0, width), (r1, r1 + 1, 0, c1)]
+        yield s_lo, s_hi, [r for r in rects if r[0] < r[1] and r[2] < r[3]]
+
+
 def _bucket_blocks(
     scene: SceneObject,
     trajectory: Trajectory,
@@ -292,47 +273,59 @@ def _bucket_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(b_lo, buckets)`` for each block of ``BLOCK_SLOTS`` slots, in order.
 
-    Static, held and free motion share one path.  Each slot's offset
-    ``(dx, dy)``, clipped to +-n (beyond which the posed scene is all
-    zero), is its count of ``_pose_steps`` per axis, signed; the scene
-    sits, as ``uint8``, in a zero frame padded by that count on the side
-    each axis moves towards (not at all for a static scene), and
-    ``win[y, x]`` reads the ``n_cell`` pixels from ``(y, x)`` rightward.  A
-    slot's posed cell is then ``win[row - dy + top, cell * n_cell - dx +
-    left]``.  The block gathers its slots' pattern rows and posed cells by
-    index, at most ``PRODUCT_PIXELS`` cell pixels at a time, takes their
-    products in int16 while a bucket, at most ``255 * per_slot``, fits
-    (int32 otherwise), and draws its noise at once, Gaussian index ``3 *
-    slot + channel``.
+    The scene, as ``uint8`` channel planes, is padded by each axis' step
+    count on the side it moves towards, so a pose is a plain slice.  Each
+    rectangle of a ``_grid_runs`` run is one stacked product ``cells @
+    R^T[:, p_lo:p_hi]``, written through a view of the block's buckets in
+    slot order.  Posed copies are whole scene rows, at most
+    ``PRODUCT_PIXELS`` pixels, and the last is kept while its pose holds.
+    Products are float32 while ``255 * per_slot < 2**24``: every partial sum
+    is a nonnegative integer no larger, so exact.  Noise is drawn per block.
     """
     spec = schedule.spec
-    n, n_cell = spec.n, spec.n_cell
+    n, k, n_cell = spec.n, spec.k, spec.n_cell
     per_rev = spec.slots_per_revolution
     hold = trajectory.hold_interval or slot_dt
     velocity = trajectory.velocity if trajectory.mode == "linear" else (0, 0)
-    axes = [(1 if v > 0 else -1, _pose_steps(v, hold, slot_dt, n, slot_count)) for v in velocity]
+    axes = [(1 if v > 0 else -1, _pose_steps(v, hold, slot_dt, n, slot_count).tolist())
+            for v in velocity]
     (left, right), (top, bottom) = (
         (len(steps), 0) if sign > 0 else (0, len(steps)) for sign, steps in axes
     )
-    pad = np.pad(scene.pixels, ((top, bottom), (left, right), (0, 0)))
-    win = sliding_window_view(pad.reshape(len(pad), -1), 3 * n_cell, axis=1)[:, ::3]
+    # Channel planes, so a posed copy is contiguous rows: (3, n + top + bottom, n + left + right).
+    pad = np.pad(scene.pixels.transpose(2, 0, 1), ((0, 0), (top, bottom), (left, right)))
+    cuts = sorted({*axes[0][1], *axes[1][1]})
     per_slot = int(patterns.patterns.sum(axis=1).max())
-    dtype = np.int16 if 255 * per_slot < 2**15 else np.int32
-    matrix = patterns.patterns.astype(dtype)
-    chunk = max(1, PRODUCT_PIXELS // n_cell)
-    # Every temporary dies before the yield: a suspended walk holds none.
+    dtype = np.float32 if 255 * per_slot < 2**24 else np.float64
+    matrix_t = np.ascontiguousarray(patterns.patterns.T, dtype=dtype)
+    pattern_major = schedule.order_mode == "pattern_major"
+    width = n * k if pattern_major else n_cell
+    rows = max(1, PRODUCT_PIXELS // n)  # scene rows per posed copy
+    held = None, 0, 0, None  # the last posed copy: pose, its rows [lo, hi) and cells
     for b_lo in range(0, slot_count, BLOCK_SLOTS):
         b_hi = min(b_lo + BLOCK_SLOTS, slot_count)
         buckets = np.empty((b_hi - b_lo, 3), dtype=np.int64)
-        for c_lo in range(b_lo, b_hi, chunk):
-            slots = np.arange(c_lo, min(c_lo + chunk, b_hi))
-            dx, dy = (sign * np.searchsorted(steps, slots, "right") for sign, steps in axes)
-            j = slots % per_rev
-            cells = win[schedule.rows[j] - dy + top, schedule.cells[j] * n_cell - dx + left]
-            rows = matrix[schedule.pattern_index[j], None]  # (slots, 1, n_cell)
-            products = rows @ cells.reshape(-1, n_cell, 3).astype(dtype)
-            buckets[c_lo - b_lo : c_lo - b_lo + len(slots)] = products[:, 0]
-            del slots, dx, dy, j, cells, rows, products
+        for s_lo, s_hi, rects in _grid_runs(b_lo, b_hi, cuts, per_rev, width):
+            pose = dx, dy = tuple(sign * bisect.bisect_right(steps, s_lo) for sign, steps in axes)
+            out, parts = buckets[s_lo - b_lo : s_hi - b_lo], []
+            for m_lo, m_hi, c_lo, c_hi in rects:
+                size = (m_hi - m_lo) * (c_hi - c_lo)
+                dest, out = out[:size].reshape(m_hi - m_lo, c_hi - c_lo, 3), out[size:]
+                # (p_lo, p_hi, rc_lo, rc_hi, dest[channel, rc, p]), slot order underneath.
+                parts.append((m_lo, m_hi, c_lo, c_hi, dest.transpose(2, 1, 0)) if pattern_major
+                             else (c_lo, c_hi, m_lo, m_hi, dest.transpose(2, 0, 1)))
+            lo, hi = min(part[2] for part in parts) // k, -(-max(part[3] for part in parts) // k)
+            for r_lo in range(lo, hi, rows):
+                r_hi = min(r_lo + rows, hi)
+                if held[0] != pose or not held[1] <= r_lo < r_hi <= held[2]:
+                    cells = pad[:, top - dy + r_lo : top - dy + r_hi, left - dx : left - dx + n]
+                    held = pose, r_lo, r_hi, cells.astype(dtype).reshape(3, -1, n_cell)
+                base, cells = held[1] * k, held[3]
+                for p_lo, p_hi, rc_lo, rc_hi, dest in parts:
+                    a, b = max(rc_lo, r_lo * k), min(rc_hi, r_hi * k)
+                    if a < b:
+                        posed = cells[:, a - base : b - base]
+                        dest[:, a - rc_lo : b - rc_lo] = posed @ matrix_t[:, p_lo:p_hi]
         if sigma > 0:
             buckets += rng.rounded_noise(seed, 3 * b_lo, 3 * b_hi, sigma).reshape(-1, 3)
             np.maximum(buckets, 0, out=buckets)
@@ -365,8 +358,9 @@ def _check_frame_peak(
     sums of at most ``visits`` buckets, within +-peak unless every pattern
     is dark, when every product with it is 0.
 
-    Returns ``peak``.  Each partial sum of ``np.add.at`` into ``dB``, or of
-    the GEMM in any order, is one of the differences above, so every value
+    Returns ``peak``.  Each partial sum of a range's per-position fold (one
+    sign), of ``np.add.at`` into ``dB``, or of the GEMM in any order, is
+    one of the sums or differences above, so every value
     the walk forms is an integer within +-peak: exact in float64 below
     ``2**53``, where the walk runs in float64 (int64 otherwise).
     """
@@ -410,20 +404,14 @@ def _windows(
     passed on as the ``(slot_lo, buckets, frame_lo, images)`` calls that
     ``simulate`` documents, with the frames whose window ends inside it.
 
-    Each window becomes the slot range [lo, hi) of the slots starting
-    inside it.  Window ends never pass the duration, so hi <= slot count,
-    and both bounds only grow from one window to the next: the accumulator
-    adds the slots that enter, as their blocks arrive, and subtracts those
-    that leave, and starts over from zero when a window shares no slot with
-    the one before.  A leaving slot is at most ``keep`` (the window in
-    slots) before the block that drops it, so sliding windows keep that
-    many buckets from earlier blocks, and tumbling windows none: slot ``s``
-    sits at ``history[s % ring]``, ``ring`` being ``keep + BLOCK_SLOTS``
-    rounded up to whole blocks, so no block wraps or moves.  Each range
-    adds into ``dB`` by one ``np.add.at``, which sums the positions it
-    repeats; a slot enters and leaves once, whatever the window's length.
-    The ring, ``dB``, the accumulator and the matrix share ``dtype``, so
-    ``np.add.at`` keeps numpy's one-dtype fast path; frames leave as int64.
+    Each window is the slot range [lo, hi) of the slots starting inside
+    it; both bounds only grow, so the accumulator adds the slots that
+    enter, subtracts those that leave, and starts over when a window shares
+    no slot with the one before.  Slot ``s`` sits at ``history[s % ring]``,
+    a ring of whole blocks that still holds a sliding window's leaving
+    slots, so no slot moves once written.  The ring, ``dB``, the
+    accumulator and the matrix share ``dtype`` (numpy's one-dtype
+    ``np.add.at``); frames leave as int64.
     """
     spec = schedule.spec
     per_rev, n_cell = spec.slots_per_revolution, spec.n_cell
@@ -449,10 +437,18 @@ def _windows(
         # Entering slots lie in the current block (cur_hi == b_lo as it
         # starts), and leaving ranges hold at most one slot (sliding windows
         # step by one slot, tumbling ones never overlap), so none wraps.
+        # A range longer than a revolution is first summed per position, so
+        # the scatter meets each position at most once.
         if lo < hi:
-            at = pos[np.arange(lo, hi) % per_rev]
-            part = sign * history[lo % ring : lo % ring + hi - lo]
-            np.add.at(sums.reshape(-1), (3 * at[:, None] + np.arange(3)).ravel(), part.ravel())
+            part = history[lo % ring : lo % ring + hi - lo]
+            if hi - lo > per_rev:
+                whole = (hi - lo) // per_rev * per_rev
+                folded = part[:whole].reshape(-1, per_rev, 3).sum(axis=0)
+                folded[: hi - lo - whole] += part[whole:]
+                part = folded
+            at = pos[np.arange(lo, lo + len(part)) % per_rev]
+            flat = (3 * at[:, None] + np.arange(3)).ravel()
+            np.add.at(sums.reshape(-1), flat, sign * part.ravel())
             touched[at // n_cell] = True
 
     def project() -> None:

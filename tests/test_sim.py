@@ -529,8 +529,8 @@ def test_n155_buckets_match_per_slot_oracle(velocity, hold):
 @pytest.mark.parametrize("lit", [128, 129], ids=["int16", "int32"])
 def test_bucket_products_either_side_of_int16_match_python_ints(lit):
     # n_cell = 255: rows lighting 128 pixels keep 255 * 128 = 32,640 below
-    # 2**15 and take int16 products; 129 would pass it (32,895), so they
-    # take int32.  Red is white, so every red bucket reaches 255 * lit.
+    # 2**15, the int16 range; 129 would pass it (32,895).  Red is white, so
+    # every red bucket reaches 255 * lit.
     spec = disk.make_spec(255, 1)
     schedule = disk.build_schedule(spec)
     gen = np.random.default_rng(lit)
@@ -592,8 +592,9 @@ def test_bucket_block_at_n_cell_255_traces_under_3_mib(moving):
 
 @pytest.mark.parametrize("pixels", [1, 22, 7 * 4096])
 def test_bucket_products_in_small_chunks_match_dense_oracle(monkeypatch, pixels):
-    # n_cell 7: chunks of one slot, of three (which do not divide a block),
-    # and of a whole block, over two blocks of a moving, noisy run.
+    # n = 14: posed copies of one scene row (two cells; 1 and 22 pixels both
+    # round up to a row) and of the whole scene, over two blocks of a
+    # moving, noisy run.
     monkeypatch.setattr(sim, "PRODUCT_PIXELS", pixels)
     spec, patterns, schedule = make_setup(n=14, k=2)
     traj = scene.Trajectory(mode="linear", velocity=(Fraction(1, 2), Fraction(-1, 3)))
@@ -606,6 +607,127 @@ def test_bucket_products_in_small_chunks_match_dense_oracle(monkeypatch, pixels)
     assert len(result.trace.buckets) == 22 * 196 > sim.BLOCK_SLOTS
     assert len(result.frames) == 7
     assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 13)
+
+
+def gathered_buckets(obj, traj, schedule, patterns, slot_dt, slot_count):
+    """Noiseless buckets by the per-slot definition, gathered slot by slot.
+
+    Slot ``s``'s bucket is its pattern row dotted with its (row, cell) of
+    the scene posed at its signed ``_pose_steps`` counts: the scene sits in
+    a zero frame padded by ``n`` on every side, and ``win[y, x]`` reads the
+    ``n_cell`` pixels from ``(y, x)`` rightward.  Products are int64.
+    """
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    spec = schedule.spec
+    n, n_cell, per_rev = spec.n, spec.n_cell, spec.slots_per_revolution
+    velocity = traj.velocity if traj.mode == "linear" else (0, 0)
+    dx, dy = (np.array(step_offsets(v, slot_dt, traj.hold_interval, n, slot_count)) for v in velocity)
+    pad = np.pad(obj.pixels, ((n, n), (n, n), (0, 0)))
+    win = sliding_window_view(pad.reshape(len(pad), -1), 3 * n_cell, axis=1)[:, ::3]
+    out = np.empty((slot_count, 3), dtype=np.int64)
+    for lo in range(0, slot_count, 1024):
+        s = np.arange(lo, min(lo + 1024, slot_count))
+        j = s % per_rev
+        cells = win[schedule.rows[j] - dy[s] + n, schedule.cells[j] * n_cell - dx[s] + n]
+        rows = patterns.patterns[schedule.pattern_index[j]].astype(np.int64)
+        out[s] = np.einsum("si,sic->sc", rows, cells.reshape(-1, n_cell, 3).astype(np.int64))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    shape=st.sampled_from([(7, 1), (14, 2), (31, 1), (62, 2), (255, 1)]),
+    order_mode=st.sampled_from(disk.ORDER_MODES),
+    motion=st.sampled_from(["static", "free", "held"]),
+    # Per axis, a pose step every 2 * e slots from slot e, e one of: a fast
+    # axis clipped at +-n, a posed-copy chunk edge, a block edge, a
+    # revolution edge, or any slot.
+    edges=st.tuples(*[st.one_of(st.sampled_from(["fast", "chunk", "block", "rev"]),
+                                st.integers(1, 9000))] * 2),
+    signs=st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])),
+    hold=st.integers(1, 64),
+    lit=st.sampled_from(["reduced", "dense"]),
+    chunk_rows=st.sampled_from([1, 3, None]),
+    blocks=st.integers(0, 2),
+    extra=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_rectangle_products_match_gathered_per_slot_oracle(
+    shape, order_mode, motion, edges, signs, hold, lit, chunk_rows, blocks, extra, seed
+):
+    from unittest import mock
+
+    n, k = shape
+    spec = disk.make_spec(n, k)
+    n_cell, per_rev = spec.n_cell, spec.slots_per_revolution
+    schedule = disk.build_schedule(spec, order_mode)
+    gen = np.random.default_rng(seed)
+    if lit == "reduced":
+        patterns = hadamard.reduce_matrix(hadamard.sylvester_hadamard(n_cell + 1))
+    else:
+        # More than half the pixels lit: at n_cell 255 a bucket passes the
+        # int16 range (255 * 128), which the reduced set stays inside.
+        bits = (gen.random((n_cell, n_cell)) < 0.8).astype(np.int64)
+        patterns = hadamard.ReducedPatternSet(pattern_length=n_cell, patterns=bits)
+    pixels = gen.integers(0, 256, size=(n, n, 3), dtype=np.uint8)
+    pixels[: n // 2, :, 0] = 255  # buckets at their largest in red
+    obj = scene.SceneObject(pixels=pixels)
+    slot_count = min(blocks, 1 if n_cell == 255 else 2) * sim.BLOCK_SLOTS + extra
+    slot_dt = Fraction(1, per_rev)
+    rows = chunk_rows or n
+    chunk_slots = rows * k * (1 if order_mode == "pattern_major" else n_cell)
+    named = {"fast": 1, "chunk": chunk_slots, "block": sim.BLOCK_SLOTS, "rev": per_rev}
+    if motion == "static":
+        traj = scene.Trajectory()
+    else:
+        # v = 1 / (2 e slot_dt): |offset| first reaches m at slot (2m - 1) e.
+        velocity = tuple(sign / (2 * named.get(e, e) * slot_dt) for sign, e in zip(signs, edges))
+        held = hold * slot_dt if motion == "held" else None
+        traj = scene.Trajectory(mode="linear", velocity=velocity, hold_interval=held)
+    with mock.patch.object(sim, "PRODUCT_PIXELS", rows * n):
+        blocks_out = list(sim._bucket_blocks(obj, traj, schedule, patterns, slot_dt, slot_count,
+                                             0.0, 0))
+    assert [lo for lo, _ in blocks_out] == list(range(0, slot_count, sim.BLOCK_SLOTS))
+    buckets = np.concatenate([b for _, b in blocks_out])
+    want = gathered_buckets(obj, traj, schedule, patterns, slot_dt, slot_count)
+    assert np.array_equal(buckets, want)
+
+
+@pytest.mark.parametrize("order_mode", disk.ORDER_MODES)
+def test_grid_runs_bound_pose_segments_and_rectangles(order_mode):
+    # One pixel per slot on both axes at n = 255 (the memory gate's moving
+    # case), and a y axis half as fast, over two revolutions.
+    spec = disk.make_spec(255, 1)
+    schedule = disk.build_schedule(spec, order_mode)
+    n, per_rev = spec.n, spec.slots_per_revolution
+    slot_dt = Fraction(1, per_rev)
+    slot_count = 2 * per_rev + 1000
+    width = n * spec.k if order_mode == "pattern_major" else spec.n_cell
+    grid = np.arange(per_rev).reshape(-1, width)
+    for vy in (Fraction(-per_rev), Fraction(per_rev, 2)):
+        steps = [sim._pose_steps(v, slot_dt, slot_dt, n, slot_count).tolist()
+                 for v in (Fraction(per_rev), vy)]
+        cuts = sorted({*steps[0], *steps[1]})
+        segments = 1
+        covered = []
+        for b_lo in range(0, slot_count, sim.BLOCK_SLOTS):
+            b_hi = min(b_lo + sim.BLOCK_SLOTS, slot_count)
+            for s_lo, s_hi, rects in sim._grid_runs(b_lo, b_hi, cuts, per_rev, width):
+                covered.append((s_lo, s_hi))
+                # One pose and one revolution per run.
+                assert s_lo // per_rev == (s_hi - 1) // per_rev
+                assert not any(s_lo < c < s_hi for c in cuts)
+                segments += s_lo in cuts
+                # At most 3 rectangles, tiling the run's schedule slots in order.
+                assert 1 <= len(rects) <= 3
+                tiles = [grid[a:b, c:d].ravel() for a, b, c, d in rects]
+                assert np.concatenate(tiles).tolist() == list(
+                    range(s_lo % per_rev, s_lo % per_rev + s_hi - s_lo)
+                )
+        assert [lo for lo, _ in covered] == [0] + [hi for _, hi in covered[:-1]]
+        assert covered[-1][1] == slot_count
+        assert segments == len(cuts) + 1 <= 2 * n + 1
 
 
 @pytest.mark.parametrize("window_mode", sim.WINDOW_MODES)
