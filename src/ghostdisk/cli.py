@@ -190,14 +190,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if frame_texts(image[None]) != [stored]:
         raise RuntimeError(f"{stored_path} does not match the re-simulated frame {args.frame}")
     seen = sample_scene(scene, trajectory, start)
-    rows = frame_report(image, seen.pixels, spec)
+    report = frame_report(image, seen.pixels, spec)
     out = Path(args.out) if args.out else run_dir / "report.csv"
-    write_report_csv(rows, out)
-    print(f"wrote {len(rows)} contrast rows to {out}")
+    write_report_csv(report, out)
+    print(f"wrote {len(report)} contrast rows to {out}")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``ghostdisk`` parser; given ``command``, only that subcommand gets its options."""
     parser = argparse.ArgumentParser(
         prog="ghostdisk",
         description="Rotating-disk single-pixel imaging simulator.",
@@ -205,46 +206,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_pat = sub.add_parser("patterns", help="write a pattern set")
-    p_pat.add_argument("--length", type=int, required=True, help="pattern length")
-    p_pat.add_argument("--random", type=int, default=None, metavar="COUNT",
+    def add(name: str, text: str, handler, disk: bool = False) -> argparse.ArgumentParser | None:
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        if command not in (None, name):
+            return None
+        if disk:
+            p.add_argument("--n", type=int, required=True)
+            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--order-mode", default="pattern_major")
+        return p
+
+    if p := add("patterns", "write a pattern set", _cmd_patterns):
+        p.add_argument("--length", type=int, required=True, help="pattern length")
+        p.add_argument("--random", type=int, default=None, metavar="COUNT",
                        help="random patterns instead of the structured set")
-    p_pat.add_argument("--seed", type=int, default=0, help="seed for --random")
-    p_pat.add_argument("--out", default="patterns.txt", help="output text file")
-    p_pat.add_argument("--pgm-dir", default=None, help="write one PGM per pattern here")
-    p_pat.set_defaults(handler=_cmd_patterns)
-
-    disk_args = argparse.ArgumentParser(add_help=False)
-    disk_args.add_argument("--n", type=int, required=True)
-    disk_args.add_argument("--k", type=int, required=True)
-    disk_args.add_argument("--order-mode", default="pattern_major")
-
-    p_sch = sub.add_parser("schedule", parents=[disk_args], help="write one revolution's slot order")
-    p_sch.add_argument("--out", default="schedule.csv")
-    p_sch.set_defaults(handler=_cmd_schedule)
-
-    p_lay = sub.add_parser("layout", parents=[disk_args], help="write the disk drawing")
-    p_lay.add_argument("--radius-mm", type=float, default=60.0)
-    p_lay.add_argument("--track-pitch-mm", type=float, default=1.5)
-    p_lay.add_argument("--svg", default=None, help="SVG output path")
-    p_lay.add_argument("--csv", default=None, help="hole table output path")
-    p_lay.set_defaults(handler=_cmd_layout)
-
-    p_sim = sub.add_parser("simulate", help="run the clocked measurement")
-    _add_override_args(p_sim)
-    p_sim.set_defaults(handler=_cmd_simulate)
-
-    p_rep = sub.add_parser("report", help="per-cell contrast of a finished run")
-    p_rep.add_argument("--run-dir", required=True, help="directory with manifest.txt")
-    p_rep.add_argument("--frame", type=int, default=0, help="frame index to analyze")
-    p_rep.add_argument("--out", default=None, help="report path, default run dir")
-    p_rep.set_defaults(handler=_cmd_report)
+        p.add_argument("--seed", type=int, default=0, help="seed for --random")
+        p.add_argument("--out", default="patterns.txt", help="output text file")
+        p.add_argument("--pgm-dir", default=None, help="write one PGM per pattern here")
+    if p := add("schedule", "write one revolution's slot order", _cmd_schedule, disk=True):
+        p.add_argument("--out", default="schedule.csv")
+    if p := add("layout", "write the disk drawing", _cmd_layout, disk=True):
+        p.add_argument("--radius-mm", type=float, default=60.0)
+        p.add_argument("--track-pitch-mm", type=float, default=1.5)
+        p.add_argument("--svg", default=None, help="SVG output path")
+        p.add_argument("--csv", default=None, help="hole table output path")
+    if p := add("simulate", "run the clocked measurement", _cmd_simulate):
+        _add_override_args(p)
+    if p := add("report", "per-cell contrast of a finished run", _cmd_report):
+        p.add_argument("--run-dir", required=True, help="directory with manifest.txt")
+        p.add_argument("--frame", type=int, default=0, help="frame index to analyze")
+        p.add_argument("--out", default=None, help="report path, default run dir")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option values, so its first argument not
+    # starting with "-" is the subcommand argparse picks, if any is.
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:  # ConfigError included

@@ -24,6 +24,7 @@ y = (c_max - c_min) * x + c_min * sum(x) is undone in integer arithmetic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .disk import PartitionSpec, ScanSchedule, check_pattern_length, place_pattern
 from .hadamard import ReducedPatternSet, gram_coefficients
-from .scene import CHANNEL_NAMES
+from .sim import _int_cells
 
 __all__ = [
     "build_measurement_matrix",
@@ -43,6 +44,7 @@ __all__ = [
     "cell_slice",
     "cell_report_contrast",
     "affine_invert",
+    "FrameReport",
     "frame_report",
     "write_report_csv",
 ]
@@ -190,25 +192,31 @@ def affine_invert(
 
 
 # ---------------------------------------------------------------------------
-# Per-cell contrast report: report.csv rows of plain fields, None for no prediction.
+# Per-cell contrast report: report.csv as columns, one entry per row.
 # ---------------------------------------------------------------------------
 
 
-def frame_report(
-    image: np.ndarray, scene_pixels: np.ndarray, spec: PartitionSpec
-) -> list[tuple]:
-    """The rows of ``report.csv``: per cell and channel, then full frame.
+@dataclass(frozen=True, eq=False)
+class FrameReport:
+    """The columns of ``report.csv`` (see ``frame_report``); ``len`` is its row count."""
 
-    Each row is ``(region, channel, n_obj, predicted_num, predicted_den,
-    measured_num, measured_den)`` of plain ints.  ``scene_pixels`` is the
-    object as seen during the frame; a cell whose lit pixels share one
-    level gets the binary prediction, one with mixed nonzero levels and
-    the full frame get none: ``None, None``.
+    k: int
+    values: np.ndarray  # (rows, 5) uint64: n_obj, predicted num, den, measured num, den
+    predicts: np.ndarray  # (rows,) bool: False leaves both predicted fields empty
 
-    Every column is an array over (row, cell, channel), reduced from
-    contiguous (row, cell, channel, pixel) copies.  Measured fractions are
-    reduced by ``np.gcd`` in uint64, exact for any nonnegative int64
-    extrema: ``top + bottom < 2**64``, and ``tolist`` gives Python ints.
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def frame_report(image: np.ndarray, scene_pixels: np.ndarray, spec: PartitionSpec) -> FrameReport:
+    """``report.csv``'s rows: ``r{row}c{cell}`` per channel, then ``full`` per channel.
+
+    ``scene_pixels`` is the object as seen during the frame; a cell whose
+    lit pixels share one level gets the binary prediction, one with mixed
+    nonzero levels and the full frame get none.  Every column is an array
+    over (row, cell, channel), reduced from contiguous (row, cell, channel,
+    pixel) copies.  Measured fractions are reduced by ``np.gcd`` in uint64,
+    exact for any nonnegative int64 extrema: ``top + bottom < 2**64``.
     """
     n, k, n_cell = spec.n, spec.k, spec.n_cell
 
@@ -241,25 +249,34 @@ def frame_report(
     if full.any():
         num[full], den[full] = predicted_contrast_cell(n_cell).as_integer_ratio()
     # Predictions by lit count: 0 for an empty cell, none for mixed levels.
-    pred_num, pred_den = np.zeros(n_cell + 1, np.int64), np.ones(n_cell + 1, np.int64)
+    pred_num, pred_den = np.zeros(n_cell + 1, np.uint64), np.ones(n_cell + 1, np.uint64)
     for m in set(n_obj[one_level & (n_obj > 0)].tolist()):
         pred_num[m], pred_den[m] = predicted_contrast_reduced(n_cell, m).as_integer_ratio()
-    regions = [f"r{row}c{cell}" for row in range(n) for cell in range(k) for _ in CHANNEL_NAMES]
-    predicted = (np.where(one_level, table[n_obj], None) for table in (pred_num, pred_den))
-    columns = (a.ravel().tolist() for a in (n_obj, *predicted, num, den))
-    rows = list(zip(regions, CHANNEL_NAMES * (n * k), *columns))
+    values = np.zeros((3 * n * k + 3, 5), dtype=np.uint64)
+    values[:, 0] = np.append(n_obj, np.count_nonzero(cells, axis=(0, 1, 3)))
+    values[:-3, 1:] = np.stack((pred_num[n_obj], pred_den[n_obj], num, den), axis=-1).reshape(-1, 4)
     extrema = np.stack((hi, lo))
-    counts = np.count_nonzero(cells, axis=(0, 1, 3)).tolist()
-    for channel, (channel_name, count) in enumerate(zip(CHANNEL_NAMES, counts)):
-        measured = measured_contrast(extrema[..., channel]).as_integer_ratio()
-        rows.append(("full", channel_name, count, None, None, *measured))
-    return rows
+    whole = [measured_contrast(extrema[..., c]).as_integer_ratio() for c in range(3)]
+    values[-3:, 3:] = np.array(whole, dtype=np.uint64)
+    return FrameReport(k=k, values=values, predicts=np.append(one_level, [False] * 3))
 
 
-def write_report_csv(rows: list[tuple], path) -> None:
-    """Write ``frame_report`` rows as ``report.csv``; ``None`` fields stay empty."""
-    lines = ["region,channel,n_obj,predicted_num,predicted_den,measured_num,measured_den\n"]
-    for region, channel, count, p_num, p_den, m_num, m_den in rows:
-        predicted = "," if p_num is None else f"{p_num},{p_den}"
-        lines.append(f"{region},{channel},{count},{predicted},{m_num},{m_den}\n")
-    Path(path).write_bytes("".join(lines).encode("ascii"))
+def write_report_csv(report: FrameReport, path) -> None:
+    """Write a ``frame_report`` as ``report.csv``; no prediction leaves both its fields empty.
+
+    Each column is spelled as fixed-width ``sim._int_cells`` cells, and
+    dropping their zero padding leaves the rows.
+    """
+    i = np.arange(len(report))
+    region = np.concatenate([np.full((len(i), 1), ord("r"), np.uint8),
+                             _int_cells(i // (3 * report.k), ord("c")),
+                             _int_cells(i // 3 % report.k, ord(","))], axis=1)
+    region[-3:] = 0
+    region[-3:, :5] = np.frombuffer(b"full,", dtype=np.uint8)
+    cells = [_int_cells(report.values[:, c], ord(sep)) for c, sep in enumerate(",,,,\n")]
+    for predicted in cells[1:3]:
+        predicted[~report.predicts, :-1] = 0
+    channel = np.frombuffer(b"red,\0\0green,blue,\0", dtype=np.uint8).reshape(3, 6)[i % 3]
+    table = np.concatenate([region, channel, *cells], axis=1)
+    head = b"region,channel,n_obj,predicted_num,predicted_den,measured_num,measured_den\n"
+    Path(path).write_bytes(head + table.tobytes().translate(None, b"\0"))

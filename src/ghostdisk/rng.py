@@ -32,9 +32,9 @@ Derived draws, also fixed by this module:
 ``words`` evaluates a whole counter range, or every ``step``-th word of
 one, at once in numpy ``uint64``.  ``rounded_noise`` gives the noise counts
 ``floor(sigma * z + 0.5)`` of a range of draws, equal to the scalar ones,
-from its even and its odd words as two contiguous arrays; its ``z`` take
-numpy's ``log`` and ``cos``, and libm's only where a last-bit difference
-could change a count.
+from its even and its odd words as two contiguous arrays; a float32 ``cos``
+screens its ``z``, then numpy's float64 pass and libm's redo only the draws
+a last-bit difference could still move across a rounding edge.
 """
 
 from __future__ import annotations
@@ -111,31 +111,43 @@ def _uniforms(z: np.ndarray) -> np.ndarray:
 def rounded_noise(seed: int, lo: int, hi: int, sigma: float) -> np.ndarray:
     """``floor(sigma * gaussian(seed, i) + 0.5)`` for ``i`` in ``lo .. hi-1``, as int64.
 
-    The even words (``u1``) and the odd ones (``u2``) are drawn as two
-    contiguous arrays.  Each draw first takes numpy's ``log`` and ``cos`` in
-    ``gaussian``'s float steps.  Assumed: they lie within ``2**-40 |log(u1)|``
-    and ``2**-40`` of libm's (both promise a few units in the last place).
-    Then ``z`` (``|z| < 8.6``) moves by under ``2**-36``, and, with four
-    roundings of at most ``2**-53 (8.6 sigma + 1.5)``, ``y = sigma * z +
-    0.5`` by under ``m = sigma * 2**-30 + 2**-50``.  So only a draw whose
-    exact ``|y - round(y)| <= m``, or a NaN, can change its floor; those
-    take libm's (all, with no numpy pass, once ``m >= 0.5``).
+    ``y = sigma * z + 0.5`` takes ``gaussian``'s float steps, from the even
+    and odd words as two contiguous arrays, in up to three passes: a screen
+    with float32 ``cos`` (margin ``sigma * 2**-12 + 2**-50``, run below
+    1/16), numpy's float64 ``log`` and ``cos`` (``sigma * 2**-30 + 2**-50``,
+    below 1/2) and libm's.  A draw (not NaN) farther than a pass's margin
+    from an integer keeps that floor; README's "Determinism and noise"
+    derives the margins from the error each pass is assumed to have.
     """
     u1, t = (_uniforms(words(seed, 2 * lo + odd, 2 * hi + odd, 2)) for odd in (0, 1))
     t *= 2.0 * math.pi
     y, near = np.empty_like(u1), slice(None)
-    margin = sigma * 2.0**-30 + 2.0**-50
-    if margin < 0.5:
-        # sigma * (sqrt(-2 log u1) * cos t) + 0.5 in place; log and cos take no out=.
-        y = np.log(u1)
-        y *= -2.0
-        np.sqrt(y, out=y)
-        y *= np.cos(t)
-        y *= sigma
-        y += 0.5
-        near = ~(np.abs(y - np.round(y)) > margin)
+    screen, margin = sigma * 2.0**-12 + 2.0**-50, sigma * 2.0**-30 + 2.0**-50
+    if screen < 1 / 16:
+        y = _numpy_y(u1, t.astype(np.float32), sigma)
+        near = np.flatnonzero(_near(y, screen))
+        y[near] = _numpy_y(u1[near], t[near], sigma)
+        near = near[_near(y[near], margin)]
+    elif margin < 0.5:
+        y = _numpy_y(u1, t, sigma)
+        near = _near(y, margin)
     log_u1 = np.fromiter(map(math.log, u1[near].tolist()), np.float64)
     cos_t = np.fromiter(map(math.cos, t[near].tolist()), np.float64)
     y[near] = sigma * (np.sqrt(-2.0 * log_u1) * cos_t) + 0.5
     return np.floor(y).astype(np.int64)
 
+
+def _numpy_y(u1: np.ndarray, t: np.ndarray, sigma: float) -> np.ndarray:
+    """``sigma * (sqrt(-2 log u1) * cos t) + 0.5`` by numpy, ``cos`` in ``t``'s dtype."""
+    y = np.log(u1)  # then in place: log and cos take no out=
+    y *= -2.0
+    np.sqrt(y, out=y)
+    y *= np.cos(t).astype(np.float64, copy=False)
+    y *= sigma
+    y += 0.5
+    return y
+
+
+def _near(y: np.ndarray, margin: float) -> np.ndarray:
+    """Where ``y`` is NaN or within ``margin`` of an integer."""
+    return ~(np.abs(y - np.round(y)) > margin)

@@ -13,7 +13,8 @@ costs.  The invariants the code keeps, and where each is argued:
 * Slot ``s``, channel ``c`` takes Gaussian ``3 * s + c``
   (``rng.rounded_noise``), so no value depends on evaluation order.
 * Every walk value lies within +-peak (``_check_frame_peak``): float64
-  below ``2**53``, int64 past it, exact either way.
+  below ``2**53``, int64 past it, exact either way.  Its ``dB`` keeps
+  schedule order, so a slot range adds to at most two slices of it.
 * A streamed run holds arrays that do not grow with its length
   (``simulate``, ``_windows``), and exports take runs of whole rows of at
   most ``FRAME_BLOCK_VALUES`` values.
@@ -172,15 +173,9 @@ def simulate(
 
     Without ``sink``, returns the emitted frames (ordered by window start)
     and the full bucket trace over the simulated duration.  With one, the
-    run goes to ``sink(slot_lo, buckets, frame_lo, images)`` as it is
-    computed: ``buckets`` holds the rows of slots ``slot_lo, slot_lo + 1,
-    ...`` and ``images`` the ``(B, n, n, 3)`` int64 frames ``frame_lo,
-    frame_lo + 1, ...``.  Successive calls continue both where the last one
-    stopped; the first call of each ``BLOCK_SLOTS`` block carries its rows,
-    and each call at most ``FRAME_BLOCK_VALUES`` frame values (at least one
-    frame).  Both arrays are reused once the call returns, so a sink copies
-    what it keeps.  The result then holds no frames and an empty trace, and
-    the run holds the same arrays whatever its length (README lists them).
+    run streams to ``sink(slot_lo, buckets, frame_lo, images)`` calls as
+    README's Library section describes, holding the same arrays whatever
+    its length, and the result holds no frames and an empty trace.
 
     Raises ``ValueError`` up front, before any slot is simulated, when the
     seed lies outside [0, 2**64), a frame could overflow int64 (see
@@ -273,14 +268,12 @@ def _bucket_blocks(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """``(b_lo, buckets)`` for each block of ``BLOCK_SLOTS`` slots, in order.
 
-    The scene, as ``uint8`` channel planes, is padded by each axis' step
-    count on the side it moves towards, so a pose is a plain slice.  Each
-    rectangle of a ``_grid_runs`` run is one stacked product ``cells @
-    R^T[:, p_lo:p_hi]``, written through a view of the block's buckets in
-    slot order.  Posed copies are whole scene rows, at most
-    ``PRODUCT_PIXELS`` pixels, and the last is kept while its pose holds.
-    Products are float32 while ``255 * per_slot < 2**24``: every partial sum
-    is a nonnegative integer no larger, so exact.  Noise is drawn per block.
+    README's "Determinism and noise" describes the pass: the scene padded
+    by its motion, one stacked product ``cells @ R^T[:, p_lo:p_hi]`` per
+    ``_grid_runs`` rectangle, written through a view of the block's
+    buckets, and noise drawn per block.  Products are float32 while ``255 *
+    per_slot < 2**24``: every partial sum is a nonnegative integer no
+    larger, so exact.
     """
     spec = schedule.spec
     n, k, n_cell = spec.n, spec.k, spec.n_cell
@@ -306,7 +299,9 @@ def _bucket_blocks(
         b_hi = min(b_lo + BLOCK_SLOTS, slot_count)
         buckets = np.empty((b_hi - b_lo, 3), dtype=np.int64)
         for s_lo, s_hi, rects in _grid_runs(b_lo, b_hi, cuts, per_rev, width):
-            pose = dx, dy = tuple(sign * bisect.bisect_right(steps, s_lo) for sign, steps in axes)
+            # Not tuple(genexpr), whose freed results grow the 2-tuple free list.
+            dx, dy = (sign * bisect.bisect_right(steps, s_lo) for sign, steps in axes)
+            pose = dx, dy
             out, parts = buckets[s_lo - b_lo : s_hi - b_lo], []
             for m_lo, m_hi, c_lo, c_hi in rects:
                 size = (m_hi - m_lo) * (c_hi - c_lo)
@@ -359,10 +354,10 @@ def _check_frame_peak(
     is dark, when every product with it is 0.
 
     Returns ``peak``.  Each partial sum of a range's per-position fold (one
-    sign), of ``np.add.at`` into ``dB``, or of the GEMM in any order, is
-    one of the sums or differences above, so every value
-    the walk forms is an integer within +-peak: exact in float64 below
-    ``2**53``, where the walk runs in float64 (int64 otherwise).
+    sign), of the slice adds into ``dB``, or of the GEMM in any order, is
+    one of the sums or differences above, so every value the walk forms is
+    an integer within +-peak: exact in float64 below ``2**53``, where the
+    walk runs in float64 (int64 otherwise).
     """
     per_slot = int(patterns.patterns.sum(axis=1).max())
     per_pixel = int(patterns.patterns.sum(axis=0).max())
@@ -399,29 +394,25 @@ def _windows(
 ) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
     """Exposure frames of either window mode, from one running accumulator.
 
-    ``blocks`` yields ``(b_lo, buckets)`` for consecutive blocks of
-    ``BLOCK_SLOTS`` slots (the last one may be shorter), and each block is
-    passed on as the ``(slot_lo, buckets, frame_lo, images)`` calls that
+    Each ``(b_lo, buckets)`` block of ``blocks`` goes on as the sink calls
     ``simulate`` documents, with the frames whose window ends inside it.
-
-    Each window is the slot range [lo, hi) of the slots starting inside
-    it; both bounds only grow, so the accumulator adds the slots that
-    enter, subtracts those that leave, and starts over when a window shares
-    no slot with the one before.  Slot ``s`` sits at ``history[s % ring]``,
-    a ring of whole blocks that still holds a sliding window's leaving
-    slots, so no slot moves once written.  The ring, ``dB``, the
-    accumulator and the matrix share ``dtype`` (numpy's one-dtype
-    ``np.add.at``); frames leave as int64.
+    README's "Determinism and noise" describes the walk: the slot ring,
+    ``dB`` in schedule order and its projection.  The ring, ``dB``, the
+    accumulator and the matrix share ``dtype``; frames leave as int64.
     """
     spec = schedule.spec
-    per_rev, n_cell = spec.slots_per_revolution, spec.n_cell
+    per_rev, n_cell, cells = spec.slots_per_revolution, spec.n_cell, spec.n * spec.k
+    pattern_major = schedule.order_mode == "pattern_major"
     window = timing.persistence_window
     slot_dt = timing.slot_duration(per_rev)
     step, count = window_grid(timing, slot_dt)
-    acc = np.zeros((spec.n * spec.k, n_cell, 3), dtype=dtype)
-    sums = np.zeros_like(acc)  # dB: the pending buckets per (row * k + cell, pattern)
-    pos = (schedule.rows * spec.k + schedule.cells) * n_cell + schedule.pattern_index
-    touched = np.zeros(len(acc), dtype=bool)  # cells with a pending dB
+    acc = np.zeros((cells, n_cell, 3), dtype=dtype)
+    sums = np.zeros((per_rev, 3), dtype=dtype)  # dB: the pending buckets per schedule slot
+    # dB per (row * k + cell, pattern): a view of the schedule's grid in either order.
+    grid = (sums.reshape(-1, cells, 3).swapaxes(0, 1) if pattern_major
+            else sums.reshape(cells, -1, 3))
+    flags = np.zeros(cells + 2, dtype=bool)  # cells with a pending dB, one False each side
+    touched = flags[1:-1]
     chunk = max(1, BLOCK_SLOTS // n_cell)
     matrix_t = np.ascontiguousarray(matrix.T, dtype=dtype)
     batch = np.empty((max(1, FRAME_BLOCK_VALUES // (3 * per_rev)), spec.n, spec.n, 3), np.int64)
@@ -437,8 +428,7 @@ def _windows(
         # Entering slots lie in the current block (cur_hi == b_lo as it
         # starts), and leaving ranges hold at most one slot (sliding windows
         # step by one slot, tumbling ones never overlap), so none wraps.
-        # A range longer than a revolution is first summed per position, so
-        # the scatter meets each position at most once.
+        # A range longer than a revolution is first summed per position.
         if lo < hi:
             part = history[lo % ring : lo % ring + hi - lo]
             if hi - lo > per_rev:
@@ -446,19 +436,26 @@ def _windows(
                 folded = part[:whole].reshape(-1, per_rev, 3).sum(axis=0)
                 folded[: hi - lo - whole] += part[whole:]
                 part = folded
-            at = pos[np.arange(lo, lo + len(part)) % per_rev]
-            flat = (3 * at[:, None] + np.arange(3)).ravel()
-            np.add.at(sums.reshape(-1), flat, sign * part.ravel())
-            touched[at // n_cell] = True
+            j = lo % per_rev
+            for j0, rows in ((j, part[: per_rev - j]), (0, part[per_rev - j :])):
+                j1 = j0 + len(rows)
+                if j0 < j1:
+                    (np.add if sign > 0 else np.subtract)(sums[j0:j1], rows, out=sums[j0:j1])
+                    if pattern_major:  # columns j0 % cells on, wrapping
+                        c0, c1 = j0 % cells, j0 % cells + min(j1 - j0, cells)
+                        touched[c0:c1] = touched[: max(0, c1 - cells)] = True
+                    else:
+                        touched[j0 // n_cell : (j1 - 1) // n_cell + 1] = True
 
     def project() -> None:
-        # acc += R^T @ dB over the touched cells only, chunk cells at a time.
-        cells = np.flatnonzero(touched)
-        touched[cells] = False
-        for p in range(0, len(cells), chunk):
-            part = cells[p : p + chunk]
-            acc[part] += matrix_t @ sums[part]
-            sums[part] = 0
+        # acc += R^T @ dB over each run of touched cells, chunk cells at a time.
+        edges = np.flatnonzero(flags[1:] != flags[:-1]).tolist()
+        touched[:] = False
+        for c0, c1 in zip(edges[::2], edges[1::2]):
+            for lo in range(c0, c1, chunk):
+                hi = min(lo + chunk, c1)
+                acc[lo:hi] += matrix_t @ grid[lo:hi]
+                grid[lo:hi] = 0
 
     i = cur_lo = cur_hi = 0
     for b_lo, buckets in blocks:
@@ -591,7 +588,7 @@ def _group_spellings() -> np.ndarray:
 
 
 def _int_cells(values: np.ndarray, sep: int) -> np.ndarray:
-    """A 1-D int64 array as fixed-width ASCII cells, one row per value.
+    """A 1-D int64 or uint64 array as fixed-width ASCII cells, one row per value.
 
     Each cell is a sign byte, one four-byte ``_group_spellings()`` entry per
     base-10**4 digit group (as many groups as the largest magnitude needs)
@@ -715,14 +712,10 @@ def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
     Row ``i`` of ``trace.buckets`` is slot ``first_slot + i``.  From slot 0
     the file is created with its header; a later first slot appends to it,
     so a run written block by block gives the same bytes as a whole trace.
-    Each time is ``repr(s * num / den)``, the correctly rounded float of
-    ``s * slot_dt``.  While ``s * num`` and ``den`` stay below ``2**53`` one
-    float division is Python's correctly rounded ``int / int``, and times in
-    ``[1e-4, 2**50)`` take ``_decimal_cells``.  Times grow with the slot, so
-    in each ``BLOCK_SLOTS`` block those rows are one run, which becomes one
-    array of fixed-width cells (the other columns from ``_int_cells``),
-    compacted and written; the rows before and after it call ``repr``, one
-    f-string each.
+    Each time is ``repr(s * num / den)`` (README, Outputs): in each block
+    the rows in ``[1e-4, 2**50)`` while ``s * num`` and ``den`` stay below
+    ``2**53`` become one array of fixed-width cells (``_decimal_cells`` and
+    ``_int_cells``); the rest call ``repr``, one f-string each.
     """
     num, den = trace.slot_dt.numerator, trace.slot_dt.denominator
     buckets = np.asarray(trace.buckets, dtype=np.int64)

@@ -622,7 +622,7 @@ def test_version_flag():
     assert excinfo.value.code == 0
 
 
-# `--help` of the subcommands that take run settings, at an 80-column terminal.
+# `--help` of every subcommand, at an 80-column terminal.
 RECORDED_HELP = {
     "simulate": """\
 usage: ghostdisk simulate [-h] [--config CONFIG] [--n VALUE] [--k VALUE]
@@ -672,6 +672,27 @@ options:
   --order-mode ORDER_MODE
   --out OUT
 """,
+    "patterns": """\
+usage: ghostdisk patterns [-h] --length LENGTH [--random COUNT] [--seed SEED]
+                          [--out OUT] [--pgm-dir PGM_DIR]
+
+options:
+  -h, --help         show this help message and exit
+  --length LENGTH    pattern length
+  --random COUNT     random patterns instead of the structured set
+  --seed SEED        seed for --random
+  --out OUT          output text file
+  --pgm-dir PGM_DIR  write one PGM per pattern here
+""",
+    "report": """\
+usage: ghostdisk report [-h] --run-dir RUN_DIR [--frame FRAME] [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --run-dir RUN_DIR  directory with manifest.txt
+  --frame FRAME      frame index to analyze
+  --out OUT          report path, default run dir
+""",
     "layout": """\
 usage: ghostdisk layout [-h] --n N --k K [--order-mode ORDER_MODE]
                         [--radius-mm RADIUS_MM]
@@ -698,3 +719,56 @@ def test_help_matches_recorded_text(capsys, monkeypatch, command):
         main([command, "--help"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out == RECORDED_HELP[command]
+
+
+# Top-level help, version and argparse error lines at an 80-column
+# terminal: (exit code, stdout, stderr).  Only the named subcommand's
+# options are built, so each case checks that nothing else shows.
+TOP_USAGE = """\
+usage: ghostdisk [-h] [--version]
+                 {patterns,schedule,layout,simulate,report} ...
+"""
+RECORDED_CLI_LINES = {
+    (): (2, '', TOP_USAGE + 'ghostdisk: error: the following arguments are required: command\n'),
+    ('--help',): (0, TOP_USAGE + """\
+
+Rotating-disk single-pixel imaging simulator.
+
+positional arguments:
+  {patterns,schedule,layout,simulate,report}
+    patterns            write a pattern set
+    schedule            write one revolution's slot order
+    layout              write the disk drawing
+    simulate            run the clocked measurement
+    report              per-cell contrast of a finished run
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""", ''),
+    ('--version',): (0, 'ghostdisk 0.1.0\n', ''),
+    ('--versio',): (0, 'ghostdisk 0.1.0\n', ''),
+    ('bogus',): (2, '', TOP_USAGE + "ghostdisk: error: argument command: invalid choice: 'bogus' (choose from 'patterns', 'schedule', 'layout', 'simulate', 'report')\n"),
+    ('-1', 'simulate'): (2, '', TOP_USAGE + "ghostdisk: error: argument command: invalid choice: '-1' (choose from 'patterns', 'schedule', 'layout', 'simulate', 'report')\n"),
+    ('--', 'simulate', '--bogus'): (2, '', TOP_USAGE + "ghostdisk: error: argument command: invalid choice: '--' (choose from 'patterns', 'schedule', 'layout', 'simulate', 'report')\n"),
+    ('patterns',): (2, '', 'usage: ghostdisk patterns [-h] --length LENGTH [--random COUNT] [--seed SEED]\n                          [--out OUT] [--pgm-dir PGM_DIR]\nghostdisk patterns: error: the following arguments are required: --length\n'),
+    ('report',): (2, '', 'usage: ghostdisk report [-h] --run-dir RUN_DIR [--frame FRAME] [--out OUT]\nghostdisk report: error: the following arguments are required: --run-dir\n'),
+    ('report', '--frame', 'x'): (2, '', "usage: ghostdisk report [-h] --run-dir RUN_DIR [--frame FRAME] [--out OUT]\nghostdisk report: error: argument --frame: invalid int value: 'x'\n"),
+    ('simulate', '--bogus', '1'): (2, '', TOP_USAGE + 'ghostdisk: error: unrecognized arguments: --bogus 1\n'),
+    ('simulate', 'extra'): (2, '', TOP_USAGE + 'ghostdisk: error: unrecognized arguments: extra\n'),
+    ('simulate', '--n'): (2, '', 'usage: ghostdisk simulate [-h] [--config CONFIG] [--n VALUE] [--k VALUE]\n                          [--order-mode VALUE] [--letter VALUE]\n                          [--color VALUE] [--object VALUE]\n                          [--trajectory VALUE] [--velocity-x VALUE]\n                          [--velocity-y VALUE] [--hold-interval VALUE]\n                          [--revolution-period VALUE]\n                          [--persistence-time VALUE] [--window-mode VALUE]\n                          [--total-duration VALUE] [--noise-sigma VALUE]\n                          [--seed VALUE] [--workers VALUE] [--out VALUE]\nghostdisk simulate: error: argument --n: expected one argument\n'),
+    ('schedule', '--n', 'x', '--k', '1'): (2, '', "usage: ghostdisk schedule [-h] --n N --k K [--order-mode ORDER_MODE]\n                          [--out OUT]\nghostdisk schedule: error: argument --n: invalid int value: 'x'\n"),
+    ('layout', '--k', '1'): (2, '', 'usage: ghostdisk layout [-h] --n N --k K [--order-mode ORDER_MODE]\n                        [--radius-mm RADIUS_MM]\n                        [--track-pitch-mm TRACK_PITCH_MM] [--svg SVG]\n                        [--csv CSV]\nghostdisk layout: error: the following arguments are required: --n\n'),
+}
+
+
+
+@pytest.mark.parametrize("argv", sorted(RECORDED_CLI_LINES), ids=lambda argv: " ".join(argv) or "none")
+def test_top_level_and_error_lines_match_recorded_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == RECORDED_CLI_LINES[argv]

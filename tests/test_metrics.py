@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,11 +253,31 @@ def test_affine_invert_on_2d_gray_frame():
     assert np.array_equal(metrics.affine_invert(frame, spec, patterns), gray.astype(np.int64))
 
 
+def report_rows(report):
+    """A ``FrameReport``'s columns as ``report.csv`` rows of plain fields, ``None`` for no prediction."""
+    rows, k = [], report.k
+    for i in range(len(report)):
+        region = "full" if i >= len(report) - 3 else f"r{i // (3 * k)}c{i // 3 % k}"
+        n_obj, *predicted, m_num, m_den = report.values[i].tolist()
+        predicted = predicted if report.predicts[i] else [None, None]
+        rows.append((region, scene.CHANNEL_NAMES[i % 3], n_obj, *predicted, m_num, m_den))
+    return rows
+
+
+def report_csv_oracle(rows):
+    """``report.csv`` bytes of plain rows, one f-string each."""
+    lines = ["region,channel,n_obj,predicted_num,predicted_den,measured_num,measured_den\n"]
+    for region, channel, count, p_num, p_den, m_num, m_den in rows:
+        predicted = "," if p_num is None else f"{p_num},{p_den}"
+        lines.append(f"{region},{channel},{count},{predicted},{m_num},{m_den}\n")
+    return "".join(lines).encode("ascii")
+
+
 def test_frame_report_rows_and_predictions():
     spec, patterns, schedule = make_setup(n=7, k=1)
     obj = scene.builtin_letter("T", 7, "blue")
     frame = one_revolution_frame(spec, patterns, schedule, obj.pixels)
-    rows = metrics.frame_report(frame, obj.pixels, spec)
+    rows = report_rows(metrics.frame_report(frame, obj.pixels, spec))
     # 7 cells x 3 channels + 3 full-frame rows.
     assert len(rows) == 24
     assert rows[-1][0] == "full"
@@ -273,7 +295,7 @@ def test_frame_report_gray_cells_have_no_prediction():
     pixels[1, 0, 0] = 100
     pixels[1, 1, 0] = 200
     frame = one_revolution_frame(spec, patterns, schedule, pixels)
-    rows = metrics.frame_report(frame, pixels, spec)
+    rows = report_rows(metrics.frame_report(frame, pixels, spec))
     row = next(r for r in rows if r[:2] == ("r1c0", "red"))
     assert row[2:5] == (2, None, None)
     assert row[5:] == metrics.cell_report_contrast(frame, spec, 1, 0, 0, 2).as_integer_ratio()
@@ -309,7 +331,7 @@ def report_rows_oracle(image, pixels, spec):
 
 
 @pytest.mark.parametrize("frame_kind", ["correlation", "random", "past_int64"])
-def test_frame_report_matches_per_cell_loop(frame_kind):
+def test_frame_report_matches_per_cell_loop(frame_kind, tmp_path):
     spec, patterns, schedule = make_setup(n=14, k=2)
     gen = np.random.default_rng(4)
     pixels = np.zeros((14, 14, 3), dtype=np.uint8)
@@ -329,8 +351,12 @@ def test_frame_report_matches_per_cell_loop(frame_kind):
         # Any partly lit cell's max + min passes 2**63: exact only in Python ints.
         frame = gen.integers(2**62, 2**63 - 1, size=(14, 14, 3), dtype=np.int64, endpoint=True)
         frame[3, :7] = 2**63 - 1  # flat cells
-    rows = metrics.frame_report(frame, pixels, spec)
+    report = metrics.frame_report(frame, pixels, spec)
+    rows = report_rows(report)
     assert rows == report_rows_oracle(frame, pixels, spec)
+    path = tmp_path / "report.csv"
+    metrics.write_report_csv(report, path)
+    assert path.read_bytes() == report_csv_oracle(rows)
     # (empty, fully lit, no prediction) per cell row.
     kinds = {(r[2] == 0, r[2] == spec.n_cell, r[3] is None) for r in rows[:-3]}
     assert kinds == {(True, False, False), (False, True, False), (False, True, True),
@@ -367,20 +393,37 @@ REPORT_VALUES = st.one_of(st.integers(0, 3), st.integers(0, 10**6), st.integers(
 @given(report_scenes(), arrays(np.int64, (14, 14, 3), elements=REPORT_VALUES))
 def test_frame_report_equals_per_cell_loop_on_random_scenes(pixels, frame):
     spec = disk.make_spec(14, 2)
-    assert metrics.frame_report(frame, pixels, spec) == report_rows_oracle(frame, pixels, spec)
+    report = metrics.frame_report(frame, pixels, spec)
+    rows = report_rows(report)
+    assert rows == report_rows_oracle(frame, pixels, spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.csv"
+        metrics.write_report_csv(report, path)
+        assert path.read_bytes() == report_csv_oracle(rows)
 
 
 def test_report_csv_format(tmp_path):
-    rows = [
-        ("r0c0", "red", 2, 1, 3, 1, 3),
-        ("r1c0", "green", 7, 1, 8, 2**64 + 1, 2**65 + 3),
-        ("full", "blue", 5, None, None, 7, 9),
-    ]
+    # n = 1, k = 2: two cells' channel rows, then the three full-frame rows.
+    # (n_obj, predicted num, den, measured num, den) per row.
+    values = [(2, 1, 3, 1, 3), (7, 1, 8, 2**63 + 1, 2**64 - 1), (0, 0, 1, 0, 1), (31, 9, 9, 1, 1),
+              (1, 1, 2, 10**19, 10**19 + 7), (10, 3, 4, 0, 1), (5, 0, 0, 7, 9), (0, 0, 0, 0, 1),
+              (12, 0, 0, 2**64 - 2, 2**64 - 1)]
+    report = metrics.FrameReport(
+        k=2, values=np.array(values, dtype=np.uint64),
+        predicts=np.array([True, True, True, False, True, True, False, False, False]),
+    )
     path = tmp_path / "report.csv"
-    metrics.write_report_csv(rows, path)
+    metrics.write_report_csv(report, path)
     assert path.read_text() == (
         "region,channel,n_obj,predicted_num,predicted_den,measured_num,measured_den\n"
         "r0c0,red,2,1,3,1,3\n"
-        "r1c0,green,7,1,8,18446744073709551617,36893488147419103235\n"
-        "full,blue,5,,,7,9\n"
+        "r0c0,green,7,1,8,9223372036854775809,18446744073709551615\n"
+        "r0c0,blue,0,0,1,0,1\n"
+        "r0c1,red,31,,,1,1\n"
+        "r0c1,green,1,1,2,10000000000000000000,10000000000000000007\n"
+        "r0c1,blue,10,3,4,0,1\n"
+        "full,red,5,,,7,9\n"
+        "full,green,0,,,0,1\n"
+        "full,blue,12,,,18446744073709551614,18446744073709551615\n"
     )
+    assert path.read_bytes() == report_csv_oracle(report_rows(report))

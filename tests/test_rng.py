@@ -136,13 +136,19 @@ def _libm_log_calls(monkeypatch) -> list[float]:
 
 
 def _off_by_ulps(fn):
-    """``fn`` with each result moved 1 to 64 units in the last place, up or down."""
+    """``fn`` with each result moved 1 to 64 units in the last place, up or down.
+
+    A float32 result (the screen's ``cos``) moves instead by 1/64 to 64/64
+    of ``2**-17``, an eighth of the error ``rounded_noise`` allows it.
+    """
 
     def shifted(x):
         out = np.array(fn(x))
         index = np.arange(out.size)
         ulps = index * 7 % 64 + 1
         toward = np.where(index % 2, np.inf, -np.inf)
+        if out.dtype == np.float32:
+            return (out + np.sign(toward) * ulps / 64 * 2.0**-17).astype(np.float32)
         for step in range(64):
             moved = ulps > step
             out[moved] = np.nextafter(out[moved], toward[moved])
@@ -159,7 +165,7 @@ def test_rounded_noise_exact_under_off_by_ulps_log_and_cos(monkeypatch):
     monkeypatch.setattr(np, "cos", _off_by_ulps(np.cos))
     fast = np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * math.pi * u[1::2])
     missed = 0
-    for sigma in (1.0, 2.5, 2.0**20, 2.0**28, 1e14):
+    for sigma in (1.0, 2.5, 255.0, 2.0**20, 2.0**28, 1e14):
         exact = [math.floor(sigma * z + 0.5) for z in want]
         assert rng.rounded_noise(seed, lo, hi, sigma).tolist() == exact, sigma
         missed += int(np.count_nonzero(np.floor(sigma * fast + 0.5).astype(np.int64) != exact))
@@ -240,3 +246,43 @@ def test_rounded_noise_keeps_numpy_pass_below_half_margin(monkeypatch):
     exact = [math.floor(sigma * rng.gaussian(2, i) + 0.5) for i in range(300)]
     assert rng.rounded_noise(2, 0, 300, sigma).tolist() == exact
     assert calls == [300]
+
+
+# The float32 screen runs while sigma * 2**-12 + 2**-50 < 1/16, the float64
+# pass while sigma * 2**-30 + 2**-50 < 1/2; each limit is the first sigma
+# that skips its pass.
+SCREEN_LIMIT = (1 / 16 - 2.0**-50) * 2.0**12
+FLOAT64_LIMIT = (0.5 - 2.0**-50) * 2.0**30
+
+
+def test_float32_cos_stays_within_the_screen_assumption():
+    # rounded_noise assumes |float32 cos(t) - libm cos(t)| <= 2**-16 for
+    # t = 2 pi u2; this checks a quarter of that over 1,048,576 draws.
+    u2 = ((rng.words(17, 1, 2 * 2**20 + 1, 2) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    t = 2.0 * math.pi * u2
+    libm = np.fromiter(map(math.cos, t.tolist()), np.float64, count=len(t))
+    assert np.max(np.abs(np.cos(t.astype(np.float32)) - libm)) <= 2.0**-20
+
+
+@pytest.mark.parametrize("limit", [SCREEN_LIMIT, FLOAT64_LIMIT], ids=["screen", "float64"])
+def test_rounded_noise_exact_around_each_pass_limit(limit):
+    seed, lo, hi = 21, 5_000, 35_000
+    want = [rng.gaussian(seed, i) for i in range(lo, hi)]
+    for sigma in (math.nextafter(limit, 0), limit, math.nextafter(limit, math.inf)):
+        exact = [math.floor(sigma * z + 0.5) for z in want]
+        assert rng.rounded_noise(seed, lo, hi, sigma).tolist() == exact, sigma
+
+
+def test_float32_screen_runs_only_below_its_limit(monkeypatch):
+    calls, cos = [], np.cos
+    monkeypatch.setattr(np, "cos", lambda x: calls.append((x.dtype, len(x))) or cos(x))
+    for sigma in (1.0, math.nextafter(SCREEN_LIMIT, 0)):
+        calls.clear()
+        rng.rounded_noise(8, 0, 3_000, sigma)
+        # The screen over every draw, then float64 over the flagged ones.
+        assert calls[0] == (np.float32, 3_000) and calls[1][0] == np.float64
+        assert calls[1][1] < (300 if sigma == 1.0 else 1_000)
+    for sigma in (SCREEN_LIMIT, 300.0):
+        calls.clear()
+        rng.rounded_noise(8, 0, 3_000, sigma)
+        assert calls == [(np.float64, 3_000)]

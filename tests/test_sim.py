@@ -8,6 +8,7 @@ import itertools
 import math
 import tempfile
 import time
+from unittest import mock
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -829,6 +830,128 @@ def window_pass(schedule, matrix, timing, buckets, dtype=np.float64):
     for _, _, frame_lo, images in sim._windows(schedule, matrix, timing, blocks, dtype):
         out[frame_lo : frame_lo + len(images)] = images
     return out
+
+
+def windows_add_at_oracle(schedule, matrix, timing, blocks, dtype):
+    """``sim._windows`` as it was before ``dB`` kept schedule order.
+
+    ``dB`` is indexed by (row * k + cell, pattern) through a per-position
+    table ``pos``, filled by one ``np.add.at`` scatter per range, and the
+    projection gathers the touched cells by fancy indexing.
+    """
+    spec = schedule.spec
+    per_rev, n_cell = spec.slots_per_revolution, spec.n_cell
+    window = timing.persistence_window
+    slot_dt = timing.slot_duration(per_rev)
+    step, count = sim.window_grid(timing, slot_dt)
+    acc = np.zeros((spec.n * spec.k, n_cell, 3), dtype=dtype)
+    sums = np.zeros_like(acc)
+    pos = (schedule.rows * spec.k + schedule.cells) * n_cell + schedule.pattern_index
+    touched = np.zeros(len(acc), dtype=bool)
+    chunk = max(1, sim.BLOCK_SLOTS // n_cell)
+    matrix_t = np.ascontiguousarray(matrix.T, dtype=dtype)
+    batch = np.empty(
+        (max(1, sim.FRAME_BLOCK_VALUES // (3 * per_rev)), spec.n, spec.n, 3), np.int64
+    )
+    d = math.lcm((step / slot_dt).denominator, (window / slot_dt).denominator)
+    a, w = int(step / slot_dt * d), int(window / slot_dt * d)
+    keep = -(-w // d) if timing.window_mode == "sliding" and count else 0
+    ring = -(-(keep + sim.BLOCK_SLOTS) // sim.BLOCK_SLOTS) * sim.BLOCK_SLOTS
+    history = np.zeros((ring, 3), dtype=dtype)
+
+    def add(lo, hi, sign):
+        if lo < hi:
+            part = history[lo % ring : lo % ring + hi - lo]
+            if hi - lo > per_rev:
+                whole = (hi - lo) // per_rev * per_rev
+                folded = part[:whole].reshape(-1, per_rev, 3).sum(axis=0)
+                folded[: hi - lo - whole] += part[whole:]
+                part = folded
+            at = pos[np.arange(lo, lo + len(part)) % per_rev]
+            flat = (3 * at[:, None] + np.arange(3)).ravel()
+            np.add.at(sums.reshape(-1), flat, sign * part.ravel())
+            touched[at // n_cell] = True
+
+    def project():
+        cells = np.flatnonzero(touched)
+        touched[cells] = False
+        for p in range(0, len(cells), chunk):
+            part = cells[p : p + chunk]
+            acc[part] += matrix_t @ sums[part]
+            sums[part] = 0
+
+    i = cur_lo = cur_hi = 0
+    for b_lo, buckets in blocks:
+        b_hi = b_lo + len(buckets)
+        history[b_lo % ring : b_lo % ring + len(buckets)] = buckets
+        slot_lo, done = b_lo, 0
+        while i < count:
+            lo, hi = -(-i * a // d), -(-(i * a + w) // d)
+            if lo >= cur_hi:
+                acc[...] = 0
+                cur_lo = cur_hi = lo
+            add(cur_lo, lo, -1)
+            add(cur_hi, min(hi, b_hi), 1)
+            cur_lo, cur_hi = lo, max(cur_hi, min(hi, b_hi))
+            if hi > b_hi:
+                break
+            project()
+            batch[done] = acc.reshape(spec.n, spec.n, 3)
+            i, done = i + 1, done + 1
+            if done == len(batch):
+                yield slot_lo, buckets[slot_lo - b_lo :], i - done, batch
+                slot_lo, done = b_hi, 0
+        if slot_lo < b_hi or done:
+            yield slot_lo, buckets[slot_lo - b_lo :], i - done, batch[:done]
+
+
+def walk_stream(walk, schedule, matrix, timing, buckets, dtype):
+    """Every ``(slot_lo, buckets, frame_lo, images)`` call of a walk, copied."""
+    blocks = [
+        (lo, buckets[lo : lo + sim.BLOCK_SLOTS]) for lo in range(0, len(buckets), sim.BLOCK_SLOTS)
+    ]
+    return [(slot_lo, rows.tolist(), frame_lo, images.tolist())
+            for slot_lo, rows, frame_lo, images in walk(schedule, matrix, timing, blocks, dtype)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from([(3, 1), (6, 2), (7, 1), (14, 2)]),
+    order_mode=st.sampled_from(disk.ORDER_MODES),
+    window_mode=st.sampled_from(sim.WINDOW_MODES),
+    # Window and run length in slots, over 1 to 3: sub-slot to multi-revolution windows.
+    window_slots=st.integers(1, 450),
+    total_slots=st.integers(1, 600),
+    per=st.integers(1, 3),
+    block=st.sampled_from([7, 16, 50, 4096]),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(14, 2), order_mode="pattern_major", window_mode="tumbling", window_slots=30,
+         total_slots=200, per=1, block=16, wide=False, seed=1)
+@example(shape=(7, 1), order_mode="part_major", window_mode="sliding", window_slots=60,
+         total_slots=200, per=1, block=50, wide=True, seed=2)
+def test_windows_match_add_at_oracle(shape, order_mode, window_mode, window_slots, total_slots,
+                                     per, block, wide, seed):
+    # Small blocks put block and ring edges inside windows; windows shorter
+    # than a row of the (pattern, cell) grid touch a few cells, and in
+    # pattern_major those ranges can wrap past the last cell; windows of a
+    # revolution or more touch all.  Wide buckets make frames pass 2**53,
+    # where only the int64 walk is exact.
+    spec, patterns, schedule = make_setup(*shape, order_mode=order_mode)
+    per_rev = spec.slots_per_revolution
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(window_slots, per_rev * per),
+        window_mode=window_mode, total_duration=Fraction(total_slots, per_rev),
+    )
+    high = 2**62 // total_slots if wide else 255 * spec.n_cell
+    buckets = np.random.default_rng(seed).integers(0, high, size=(total_slots, 3))
+    dtype = np.int64 if wide else np.float64
+    with mock.patch.object(sim, "BLOCK_SLOTS", block):
+        got = walk_stream(sim._windows, schedule, patterns.patterns, timing, buckets, dtype)
+        want = walk_stream(windows_add_at_oracle, schedule, patterns.patterns, timing, buckets,
+                           np.int64)
+    assert got == want
 
 
 def test_window_pass_at_n155_traces_under_3_mib():
