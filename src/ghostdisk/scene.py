@@ -61,7 +61,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(Decimal(str(value)))
+        exact = Decimal(str(value))
+        if not exact.is_finite():
+            raise ValueError(f"cannot interpret {value!r} as an exact rational")
+        return Fraction(exact)
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

@@ -43,7 +43,6 @@ __all__ = [
     "WINDOW_MODES",
     "NOISE_SIGMA_MAX",
     "TimingConfig",
-    "ExposureFrame",
     "BucketTrace",
     "SimulationResult",
     "simulate",
@@ -103,15 +102,6 @@ class TimingConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ExposureFrame:
-    """Accumulated image over one window, as exact integer counts."""
-
-    start: Fraction
-    end: Fraction
-    image: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class BucketTrace:
     """Detector readings over the simulated duration.
 
@@ -125,13 +115,13 @@ class BucketTrace:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Frames, their images as one ``(F, n, n, 3)`` int64 array, and the trace.
+    """Frames as one ``(F, n, n, 3)`` int64 array of exact counts, and the trace.
 
-    Each ``frames[i].image`` is a view of ``images[i]``.
+    Frame ``i`` covers ``[i * step, i * step + persistence_window)`` seconds,
+    with ``step`` from ``window_grid``.
     """
 
-    frames: tuple[ExposureFrame, ...]
-    images: np.ndarray
+    frames: np.ndarray
     trace: BucketTrace
 
 
@@ -171,11 +161,12 @@ def simulate(
 ) -> SimulationResult:
     """Run the clocked measurement and assemble exposure frames.
 
-    Without ``sink``, returns the emitted frames (ordered by window start)
-    and the full bucket trace over the simulated duration.  With one, the
-    run streams to ``sink(slot_lo, buckets, frame_lo, images)`` calls as
+    Without ``sink``, returns every frame (ordered by window start) and the
+    full bucket trace over the simulated duration.  With one, the run
+    streams to ``sink(slot_lo, buckets, frame_lo, images)`` calls as
     README's Library section describes, holding the same arrays whatever
-    its length, and the result holds no frames and an empty trace.
+    its length, and the result holds zero frames and an empty trace, in
+    the shapes of a collected run.
 
     Raises ``ValueError`` up front, before any slot is simulated, when the
     seed lies outside [0, 2**64), a frame could overflow int64 (see
@@ -194,7 +185,7 @@ def simulate(
     slot_dt = timing.slot_duration(per_rev)
     slot_count = math.ceil(timing.total_duration / slot_dt)
     window_slots = min(math.ceil(timing.persistence_window / slot_dt), slot_count)
-    step, frame_count = window_grid(timing, slot_dt)
+    _, frame_count = window_grid(timing, slot_dt)
     if frame_count * per_rev * 3 * 8 > np.iinfo(np.intp).max:
         shown = frame_count if frame_count < 10**18 else "over 10**18"
         raise ValueError(
@@ -207,29 +198,17 @@ def simulate(
 
     blocks = _bucket_blocks(scene, trajectory, schedule, patterns, slot_dt, slot_count,
                             float(noise_sigma), seed)
-    parts = _windows(schedule, patterns.patterns, timing, blocks, dtype)
-    if sink is not None:
-        for part in parts:
-            sink(*part)
-        return SimulationResult(
-            frames=(),
-            images=np.empty((0, spec.n, spec.n, 3), dtype=np.int64),
-            trace=BucketTrace(buckets=np.empty((0, 3), dtype=np.int64), slot_dt=slot_dt),
-        )
+    collect = sink is None
+    buckets = np.empty((slot_count * collect, 3), dtype=np.int64)
+    frames = np.empty((frame_count * collect, spec.n, spec.n, 3), dtype=np.int64)
+    if collect:
+        def sink(slot_lo: int, rows: np.ndarray, frame_lo: int, images: np.ndarray) -> None:
+            buckets[slot_lo : slot_lo + len(rows)] = rows
+            frames[frame_lo : frame_lo + len(images)] = images
 
-    buckets = np.empty((slot_count, 3), dtype=np.int64)
-    images = np.empty((frame_count, spec.n, spec.n, 3), dtype=np.int64)
-    for slot_lo, rows, frame_lo, block in parts:
-        buckets[slot_lo : slot_lo + len(rows)] = rows
-        images[frame_lo : frame_lo + len(block)] = block
-    window = timing.persistence_window
-    frames = tuple(
-        ExposureFrame(start=i * step, end=i * step + window, image=image)
-        for i, image in enumerate(images)
-    )
-    return SimulationResult(
-        frames=frames, images=images, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt)
-    )
+    for part in _windows(schedule, patterns.patterns, timing, blocks, dtype):
+        sink(*part)
+    return SimulationResult(frames=frames, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt))
 
 
 def _grid_runs(

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import inspect
+import io
+import math
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
-from ghostdisk import config, metrics, scene, sim
+from ghostdisk import config, disk, metrics, pnm, scene, sim
 from ghostdisk.cli import main
+from test_sim import assert_matches_dense_oracle
 
 FAST = ["--n", "7", "--k", "1"]
 
@@ -348,13 +359,13 @@ def test_report_frames_match_full_simulation(tmp_path, mode, motion):
     )
     last = len(full.frames) - 1
     assert last == (5 if mode == "tumbling" else 122)
+    step, _ = sim.window_grid(timing, full.trace.slot_dt)
     for f in sorted({0, 1, last // 2, last}):
-        frame = full.frames[f]
         got = tmp_path / f"report_{f}.csv"
         assert main(["report", "--run-dir", str(out), "--frame", str(f), "--out", str(got)]) == 0
-        seen = scene.sample_scene(obj, traj, frame.start)
+        seen = scene.sample_scene(obj, traj, f * step)
         want = tmp_path / f"oracle_{f}.csv"
-        metrics.write_report_csv(metrics.frame_report(frame.image, seen.pixels, spec), want)
+        metrics.write_report_csv(metrics.frame_report(full.frames[f], seen.pixels, spec), want)
         assert got.read_bytes() == want.read_bytes(), f
 
 
@@ -385,7 +396,7 @@ def test_report_csv_matches_recorded_bytes(tmp_path, name):
     ).frames
     path = tmp_path / "report.csv"
     seen = scene.sample_scene(obj, traj, 0)
-    metrics.write_report_csv(metrics.frame_report(frame.image, seen.pixels, spec), path)
+    metrics.write_report_csv(metrics.frame_report(frame, seen.pixels, spec), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -556,10 +567,10 @@ def test_streamed_run_equals_collected_result(tmp_path, case):
     collected = tmp_path / "collected"
     collected.mkdir()
     sim.write_bucket_csv(result.trace, collected / "bucket.csv")
-    stems = [str(collected / f"frame_{i:04d}") for i in range(len(result.images))]
-    sim.write_frame_ppm(result.images, [f"{stem}.ppm" for stem in stems])
-    sim.write_frame_txt(result.images, [f"{stem}.txt" for stem in stems])
-    assert len(result.images) > 1
+    stems = [str(collected / f"frame_{i:04d}") for i in range(len(result.frames))]
+    sim.write_frame_ppm(result.frames, [f"{stem}.ppm" for stem in stems])
+    sim.write_frame_txt(result.frames, [f"{stem}.txt" for stem in stems])
+    assert len(result.frames) > 1
     assert read_tree(streamed, skip={"manifest.txt"}) == read_tree(collected)
 
 
@@ -772,3 +783,155 @@ def test_top_level_and_error_lines_match_recorded_text(capsys, monkeypatch, argv
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == RECORDED_CLI_LINES[argv]
+
+
+# Near-misses every setting is drawn from: bounds, non-finite and
+# non-numeric spellings, a value past 64 bits and one past the int digit
+# limit.  A path setting takes only the empty text from it: any other text
+# names a file or directory.
+NEAR_MISSES = (
+    "0", "-1", "-7/3", "nan", "inf", "-inf", "1/0", str(2**64), "", "unknown",
+    "1/" + "3" * 10_000,
+)
+# (n, k) pairs make_spec accepts; a letter needs n >= 7, so (6, 2) runs
+# only with an object file.
+PARTITIONS = ((7, 1), (14, 2), (15, 1), (21, 3), (35, 5), (6, 2))
+# Object files of these sides (one too small for a letter, two that fit)
+# for the object_path setting.
+OBJECT_SIDES = (6, 7, 14)
+
+
+def _valid_text(setting) -> st.SearchStrategy[str]:
+    """Text its parser accepts, kept small enough to run."""
+    parse = setting.metadata["parse"]
+    if parse is config._count:
+        return st.integers(1, 2**64).map(str)
+    if parse is config._seed:
+        return st.integers(0, 2**64 - 1).map(str)
+    if parse is config._noise_level:
+        return st.one_of(st.floats(0, 10), st.floats(0, sim.NOISE_SIGMA_MAX)).map(repr)
+    if parse is config._rational:
+        return st.fractions(-30, 30, max_denominator=12).map(str)
+    if parse is config._positive:
+        positive = st.fractions(Fraction(1, 20), 2, max_denominator=20).map(str)
+        return st.one_of(positive, st.just("")) if setting.default is None else positive
+    if parse is config._path:
+        if setting.name == "out_dir":
+            return st.just("run")
+        return st.sampled_from([f"object_{side}.ppm" for side in OBJECT_SIDES] + [""])
+    # A choice parser: one of the names it closes over.
+    choices = inspect.getclosurevars(parse).nonlocals["choices"]
+    return st.sampled_from(sorted(choices))
+
+
+def _planned_work(cfg):
+    """``(slots per revolution, slots, frames, n)`` of a parsed config whose
+    partition is valid; None when the partition is refused."""
+    try:
+        spec = disk.make_spec(cfg.n, cfg.k)
+    except ValueError:
+        return None
+    timing = sim.TimingConfig(
+        revolution_period=cfg.revolution_period, persistence_window=cfg.persistence_time,
+        window_mode=cfg.window_mode, total_duration=cfg.total_duration,
+    )
+    slot_dt = timing.slot_duration(spec.slots_per_revolution)
+    slots = math.ceil(timing.total_duration / slot_dt)
+    return spec.slots_per_revolution, slots, sim.window_grid(timing, slot_dt)[1], spec.n
+
+
+def _run_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_refused(code, err, path):
+    assert code == 2, err
+    (line,) = err.splitlines()
+    assert err == line + "\n" and len(err.encode()) < 250
+    assert not path.exists()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_simulate_contract_over_every_setting(data):
+    # Each setting of RunConfig is left out, given valid text or given a
+    # near-miss.  Refused runs exit 2 with one short line and no run
+    # directory; accepted ones reload from manifest.txt, report any frame
+    # and, for n <= 14, equal the dense oracle.
+    settings_ = dataclasses.fields(config.RunConfig)
+    missed = data.draw(st.sets(st.sampled_from([s.name for s in settings_]), max_size=1))
+    # n and k are drawn as a pair, mostly one make_spec accepts.
+    counts = st.integers(1, 40)
+    pair = data.draw(st.one_of(st.sampled_from(PARTITIONS), st.tuples(counts, counts)))
+    partition = dict(zip("nk", pair))
+    layer = {}
+    for setting in settings_:
+        if setting.name in missed:
+            pool = [""] if setting.metadata["parse"] is config._path else NEAR_MISSES
+            layer[setting.name] = data.draw(st.sampled_from(pool))
+        elif setting.name in partition:
+            layer[setting.name] = str(partition[setting.name])
+        elif setting.name == "out_dir" or data.draw(st.booleans()):
+            layer[setting.name] = data.draw(_valid_text(setting))
+    try:
+        cfg = config.merge_config(layer)
+        plan = _planned_work(cfg)
+    except ValueError:
+        cfg = plan = None
+        event("refused at parse")
+    if plan is not None:
+        per_rev, slots, frames, n = plan
+        assume(per_rev <= 1225 and slots <= 5000 and frames * per_rev <= 60_000)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for side in OBJECT_SIDES:
+            pixels = np.random.default_rng(side).integers(0, 256, (side, side, 3), dtype=np.uint8)
+            pnm.write_ppm(root / f"object_{side}.ppm", pixels)
+        for name in ("object_path", "out_dir"):
+            if layer.get(name):
+                layer[name] = str(root / layer[name])
+        argv = ["simulate"]
+        for setting in settings_:
+            if setting.name in layer:
+                flag = setting.metadata["flag"] or "--" + setting.name.replace("_", "-")
+                argv.append(f"{flag}={layer[setting.name]}")
+        out = root / "run"
+        code, err = _run_main(argv)
+        if plan is None:
+            event("refused before the run")
+            _assert_refused(code, err, out)
+            return
+        assert code in (0, 2), err
+        if code == 2:
+            event("refused by the run")
+            _assert_refused(code, err, out)
+            return
+        assert err == ""
+        event(f"ran, n {'<=' if n <= 14 else '>'} 14, {'some' if frames else 'no'} frames")
+        cfg = config.merge_config(layer)
+        assert config.merge_config(config.load_config_file(out / "manifest.txt")) == cfg
+
+        frame = data.draw(st.integers(-1, frames))
+        report = ["report", f"--run-dir={out}", f"--frame={frame}", f"--out={root / 'r.csv'}"]
+        code, err = _run_main(report)
+        if 0 <= frame < frames:
+            assert (code, err) == (0, "")
+            assert (root / "r.csv").exists()
+        else:
+            _assert_refused(code, err, root / "r.csv")
+
+        if n <= 14:
+            spec, patterns, schedule, obj, traj, timing = config.resolve_components(cfg)
+            result = sim.simulate(
+                obj, traj, schedule, patterns, timing, noise_sigma=cfg.noise_sigma, seed=cfg.seed
+            )
+            assert result.frames.shape == (frames, n, n, 3)
+            assert_matches_dense_oracle(
+                result, timing, schedule, patterns, obj, traj, cfg.noise_sigma, cfg.seed
+            )
+            stored = [(out / f"frame_{i:04d}.txt").read_bytes() for i in range(frames)]
+            assert sim.frame_texts(result.frames) == stored

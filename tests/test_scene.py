@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,25 @@ def test_as_fraction_reads_floats_decimally():
     assert scene.as_fraction(2) == Fraction(2)
     with pytest.raises(TypeError):
         scene.as_fraction(object())
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_floats_are_refused_with_value_error(value):
+    # Fraction(Decimal("inf")) raises OverflowError, an ArithmeticError a
+    # caller would not expect for a bad value.
+    from ghostdisk import sim
+
+    message = f"^cannot interpret {re.escape(repr(value))} as an exact rational$"
+    for make in (
+        lambda: scene.as_fraction(value),
+        lambda: sim.TimingConfig(persistence_window=value),
+        lambda: sim.TimingConfig(revolution_period=value),
+        lambda: scene.Trajectory(mode="linear", velocity=(value, 0)),
+        lambda: scene.Trajectory(mode="linear", velocity=(0, value)),
+        lambda: scene.Trajectory(mode="linear", hold_interval=value),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_static_trajectory_never_moves():

@@ -48,6 +48,14 @@ def assert_traces_equal(a, b):
     assert np.array_equal(a.buckets, b.buckets)
 
 
+def frame_spans(timing, slot_dt, frames=None):
+    """``(start, end)`` seconds of each frame index in ``frames`` (every frame
+    by default), as ``SimulationResult`` defines them from ``sim.window_grid``."""
+    step, count = sim.window_grid(timing, slot_dt)
+    indices = range(count) if frames is None else frames
+    return [(i * step, i * step + timing.persistence_window) for i in indices]
+
+
 def bucket_value(mask, frame):
     """Per-channel sum of frame values under the mask, shape (3,) int64."""
     lit = mask.astype(np.int64)
@@ -93,7 +101,7 @@ def test_one_revolution_equals_matrix_oracle(order_mode):
     assert len(result.frames) == 1
     matrix = metrics.build_measurement_matrix(schedule, patterns)
     oracle = metrics.oracle_reconstruct(matrix, obj.pixels.reshape(-1, 3)).reshape(6, 6, 3)
-    assert np.array_equal(result.frames[0].image, oracle)
+    assert np.array_equal(result.frames[0], oracle)
 
 
 def test_frame_equals_sum_of_trace_contributions():
@@ -107,7 +115,7 @@ def test_frame_equals_sum_of_trace_contributions():
     for s, bucket in enumerate(result.trace.buckets):
         mask = disk.place_pattern(spec, schedule.slots[s % 36], patterns)
         acc += slot_contribution(mask, bucket)
-    assert np.array_equal(result.frames[0].image, acc)
+    assert np.array_equal(result.frames[0], acc)
 
 
 def test_three_revolutions_three_identical_frames():
@@ -123,10 +131,10 @@ def test_three_revolutions_three_identical_frames():
     result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
     assert len(result.frames) == 3
     assert result.trace.buckets.shape == (3 * 36, 3)
-    for w, frame in enumerate(result.frames):
-        assert frame.start == w * period
-        assert frame.end == (w + 1) * period
-        assert np.array_equal(frame.image, result.frames[0].image)
+    spans = frame_spans(timing, result.trace.slot_dt)
+    assert spans == [(w * period, (w + 1) * period) for w in range(3)]
+    for frame in result.frames:
+        assert np.array_equal(frame, result.frames[0])
 
 
 def test_tumbling_subrevolution_windows_match_direct_sums():
@@ -147,7 +155,7 @@ def test_tumbling_subrevolution_windows_match_direct_sums():
             mask = disk.place_pattern(spec, schedule.slots[s % 9], patterns)
             bucket = bucket_value(mask, obj.pixels)
             acc += slot_contribution(mask, bucket)
-        assert np.array_equal(frame.image, acc)
+        assert np.array_equal(frame, acc)
 
 
 def test_incomplete_window_emits_no_frame():
@@ -160,7 +168,7 @@ def test_incomplete_window_emits_no_frame():
         total_duration=Fraction(9),
     )
     result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
-    assert result.frames == ()
+    assert result.frames.shape == (0, 3, 3, 3)
     assert result.trace.buckets.shape == (9, 3)
 
 
@@ -181,9 +189,9 @@ def test_empty_windows_emit_zero_frames():
         if w % 2 == 0:
             mask = disk.place_pattern(spec, schedule.slots[w // 2], patterns)
             expected = slot_contribution(mask, bucket_value(mask, obj.pixels))
-            assert np.array_equal(frame.image, expected)
+            assert np.array_equal(frame, expected)
         else:
-            assert not frame.image.any()
+            assert not frame.any()
 
 
 def test_sliding_windows_match_direct_sums():
@@ -198,14 +206,14 @@ def test_sliding_windows_match_direct_sums():
     result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
     # Windows start at slot times 0..5: 5*1 + 4 <= 9.
     assert len(result.frames) == 6
+    spans = frame_spans(timing, result.trace.slot_dt)
+    assert spans == [(Fraction(i), Fraction(i + 4)) for i in range(6)]
     for i, frame in enumerate(result.frames):
-        assert frame.start == Fraction(i)
-        assert frame.end == Fraction(i + 4)
         acc = np.zeros((3, 3, 3), dtype=np.int64)
         for s in range(i, i + 4):
             mask = disk.place_pattern(spec, schedule.slots[s % 9], patterns)
             acc += slot_contribution(mask, bucket_value(mask, obj.pixels))
-        assert np.array_equal(frame.image, acc)
+        assert np.array_equal(frame, acc)
 
 
 def test_sliding_too_short_duration_gives_no_frames():
@@ -218,7 +226,7 @@ def test_sliding_too_short_duration_gives_no_frames():
         total_duration=Fraction(9),
     )
     result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing)
-    assert result.frames == ()
+    assert result.frames.shape == (0, 3, 3, 3)
 
 
 def test_moving_scene_is_sampled_at_slot_starts():
@@ -240,7 +248,7 @@ def test_moving_scene_is_sampled_at_slot_starts():
     for w, frame in enumerate(result.frames):
         shifted = scene.translate_image(obj.pixels, w, 0)
         oracle = metrics.oracle_reconstruct(matrix, shifted.astype(np.int64).reshape(-1, 3))
-        assert np.array_equal(frame.image, oracle.reshape(7, 7, 3))
+        assert np.array_equal(frame, oracle.reshape(7, 7, 3))
 
 
 def test_largest_noise_sigma_fits_int64():
@@ -273,7 +281,7 @@ def test_frame_overflow_refused_up_front():
     sigma = (2**63 // 6 - 766) / 8.5717
     timing = dataclasses.replace(timing, persistence_window=Fraction(2), total_duration=Fraction(2))
     result = sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing, noise_sigma=sigma)
-    (image,) = result.images
+    (image,) = result.frames
     expected = np.zeros((7, 7, 3), dtype=object)
     for s, bucket in enumerate(result.trace.buckets.tolist()):
         mask = disk.place_pattern(spec, schedule.slots[s % 49], patterns)
@@ -300,14 +308,14 @@ def test_projected_window_near_int64_bound_is_exact():
     assert len(result.frames) == 2
     lit = [np.argwhere(disk.place_pattern(spec, slot, patterns)) for slot in schedule.slots]
     buckets, slot_dt = result.trace.buckets.tolist(), result.trace.slot_dt
-    for frame in result.frames:
+    for frame, (start, end) in zip(result.frames, frame_spans(timing, slot_dt), strict=True):
         expected = [[[0] * 3 for _ in range(35)] for _ in range(35)]
-        for s in range(math.ceil(frame.start / slot_dt), math.ceil(frame.end / slot_dt)):
+        for s in range(math.ceil(start / slot_dt), math.ceil(end / slot_dt)):
             for r, c in lit[s % per_rev]:
                 for ch in range(3):
                     expected[r][c][ch] += buckets[s][ch]
-        assert frame.image.tolist() == expected, frame.start
-    assert result.images.max() > 2**59
+        assert frame.tolist() == expected, start
+    assert result.frames.max() > 2**59
     with pytest.raises(ValueError, match="past int64"):
         sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing, noise_sigma=1.01 * sigma)
 
@@ -373,7 +381,7 @@ def test_fine_hold_interval_costs_slots_not_blocks():
             mask = disk.place_pattern(spec, schedule.slots[s], patterns)
             pose = scene.translate_image(obj.pixels, *offsets[s])
             acc += slot_contribution(mask, bucket_value(mask, pose))
-        assert np.array_equal(frame.image, acc), w
+        assert np.array_equal(frame, acc), w
 
 
 def test_noise_is_seed_deterministic_and_clamped():
@@ -387,7 +395,7 @@ def test_noise_is_seed_deterministic_and_clamped():
         noise_sigma=50.0, seed=8,
     )
     assert_traces_equal(a.trace, b.trace)
-    assert np.array_equal(a.frames[0].image, b.frames[0].image)
+    assert np.array_equal(a.frames[0], b.frames[0])
     assert not np.array_equal(a.trace.buckets, c.trace.buckets)
     assert (a.trace.buckets >= 0).all()
 
@@ -401,7 +409,7 @@ def test_zero_sigma_equals_noise_free():
         noise_sigma=0.0, seed=123,
     )
     assert_traces_equal(a.trace, b.trace)
-    assert np.array_equal(a.frames[0].image, b.frames[0].image)
+    assert np.array_equal(a.frames[0], b.frames[0])
 
 
 def test_noise_matches_counter_indexing():
@@ -607,7 +615,7 @@ def test_bucket_products_in_small_chunks_match_dense_oracle(monkeypatch, pixels)
     result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=13)
     assert len(result.trace.buckets) == 22 * 196 > sim.BLOCK_SLOTS
     assert len(result.frames) == 7
-    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 13)
+    assert_matches_dense_oracle(result, timing, schedule, patterns, obj, traj, 2.0, 13)
 
 
 def gathered_buckets(obj, traj, schedule, patterns, slot_dt, slot_count):
@@ -756,8 +764,8 @@ def test_window_walk_either_side_of_2_53_matches_dense_oracle(monkeypatch, windo
     assert walks == [dtype]
     assert len(result.frames) == (2 if window_mode == "tumbling" else per_rev + 1)
     if dtype is np.int64:
-        assert np.any((result.images > 2**53) & (result.images % 2 == 1))
-    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, sigma, 14)
+        assert np.any((result.frames > 2**53) & (result.frames % 2 == 1))
+    assert_matches_dense_oracle(result, timing, schedule, patterns, obj, traj, sigma, 14)
 
 
 @pytest.mark.parametrize(
@@ -782,7 +790,7 @@ def test_scene_padded_by_its_motion_matches_dense_oracle(velocity, steps):
     obj = random_scene(14, 30)
     result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=1.5, seed=12)
     assert len(result.frames) == 4
-    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 1.5, 12)
+    assert_matches_dense_oracle(result, timing, schedule, patterns, obj, traj, 1.5, 12)
 
 
 def test_one_pose_per_slot_at_n155_runs_in_half_a_second():
@@ -813,7 +821,7 @@ def test_one_revolution_at_n155_traces_little_beyond_its_result():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    own = result.images.nbytes + result.trace.buckets.nbytes
+    own = result.frames.nbytes + result.trace.buckets.nbytes
     # Block temporaries only: one 24,025 x 31 int64 array, a per-slot
     # expansion of the schedule, alone takes about 6 MB.
     assert peak - own <= 14 * 2**20
@@ -992,7 +1000,8 @@ def test_twenty_times_longer_static_run_grows_peak_by_at_most_the_ring():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result.frames) == len(result.trace.buckets) == 0
+        assert result.frames.shape == (0, 14, 14, 3)
+        assert result.trace.buckets.shape == (0, 3)
         return peak
 
     streamed_peak(1)  # first-call caches
@@ -1043,8 +1052,13 @@ def asymmetric_patterns(length, seed):
     return hadamard.ReducedPatternSet(pattern_length=length, patterns=bits)
 
 
-def assert_matches_dense_oracle(result, schedule, patterns, obj, traj, sigma, seed):
-    """Every bucket and frame against rows of the dense measurement matrix."""
+def assert_matches_dense_oracle(
+    result, timing, schedule, patterns, obj, traj, sigma, seed, frame_ids=None
+):
+    """Every bucket and frame against rows of the dense measurement matrix.
+
+    ``result.frames`` holds the frames ``frame_ids`` of a run of ``timing``
+    (every frame by default), each over its ``frame_spans`` span."""
     from ghostdisk import rng
 
     per_rev = schedule.spec.slots_per_revolution
@@ -1061,10 +1075,11 @@ def assert_matches_dense_oracle(result, schedule, patterns, obj, traj, sigma, se
         for ch in range(3):
             noise = math.floor(sigma * rng.gaussian(seed, 3 * s + ch) + 0.5) if sigma else 0
             assert buckets[s, ch] == max(0, clean[ch] + noise), (s, ch)
-    for frame in result.frames:
-        lo, hi = math.ceil(frame.start / slot_dt), math.ceil(frame.end / slot_dt)
+    spans = frame_spans(timing, slot_dt, frame_ids)
+    for frame, (start, end) in zip(result.frames, spans, strict=True):
+        lo, hi = math.ceil(start / slot_dt), math.ceil(end / slot_dt)
         expected = rows[lo:hi].T @ buckets[lo:hi]
-        assert np.array_equal(frame.image.reshape(-1, 3), expected), frame.start
+        assert np.array_equal(frame.reshape(-1, 3), expected), start
 
 
 @pytest.mark.parametrize("window_mode", sim.WINDOW_MODES)
@@ -1100,7 +1115,7 @@ def test_pattern_domain_switch_matches_dense_oracle(side, order_mode, pattern_se
         )
         result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=3.0, seed=8)
         assert len(result.frames) == (12 if window_mode == "tumbling" else 11 * b + 1)
-        assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 3.0, 8)
+        assert_matches_dense_oracle(result, timing, schedule, patterns, obj, traj, 3.0, 8)
 
 
 @pytest.mark.parametrize("pattern_set", ["reduced", "asymmetric"])
@@ -1123,7 +1138,7 @@ def test_windows_across_revolutions_match_dense_oracle(motion, order_mode, patte
     obj = random_scene(14, 22)
     result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=9)
     assert len(result.frames) == 3
-    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 9)
+    assert_matches_dense_oracle(result, timing, schedule, patterns, obj, traj, 2.0, 9)
 
 
 @pytest.mark.parametrize("window_revs", [Fraction(1, 2), Fraction(21)])
@@ -1141,7 +1156,7 @@ def test_sliding_windows_across_blocks_match_dense_oracle(window_revs):
     result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=10)
     assert len(result.trace.buckets) == 22 * 196 > sim.BLOCK_SLOTS
     assert len(result.frames) == 22 * 196 - window_revs * 196 + 1
-    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 10)
+    assert_matches_dense_oracle(result, timing, schedule, patterns, obj, traj, 2.0, 10)
 
 
 @pytest.mark.parametrize("window_slots", [98, 600])
@@ -1187,14 +1202,14 @@ def test_sliding_windows_past_three_ring_wraps_match_dense_oracle(monkeypatch, w
     sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=11, sink=sink)
     assert stream == [slot_count, count] and len(wraps) == 3
     assert sorted(images) == sorted(sampled)
-    stacked = np.stack([images[f] for f in sorted(images)])
-    frames = tuple(
-        sim.ExposureFrame(start=f * slot_dt, end=(f + window_slots) * slot_dt, image=image)
-        for f, image in zip(sorted(images), stacked)
-    )
+    frames = np.stack([images[f] for f in sorted(images)])
     trace = sim.BucketTrace(buckets=buckets, slot_dt=slot_dt)
-    result = sim.SimulationResult(frames=frames, images=stacked, trace=trace)
-    assert_matches_dense_oracle(result, schedule, patterns, obj, traj, 2.0, 11)
+    result = sim.SimulationResult(frames=frames, trace=trace)
+    spans = frame_spans(timing, slot_dt, sorted(images))
+    assert spans == [(f * slot_dt, (f + window_slots) * slot_dt) for f in sorted(images)]
+    assert_matches_dense_oracle(
+        result, timing, schedule, patterns, obj, traj, 2.0, 11, frame_ids=sorted(images)
+    )
 
 
 def test_sliding_window_ring_grows_peak_by_one_bucket_per_window_slot():
@@ -1225,20 +1240,22 @@ def test_sliding_window_ring_grows_peak_by_one_bucket_per_window_slot():
     assert long - short <= 1.25 * 24 * (8400 - 2100) * 49
 
 
-def scatter_frames(schedule, matrix, buckets, frames, slot_dt):
-    """Each frame summed from zero slot by slot with ``np.add.at``: a referee
-    for the pattern-domain window sums that shares none of their steps."""
+def scatter_frames(schedule, matrix, buckets, timing, slot_dt):
+    """Each frame of a run of ``timing`` summed from zero slot by slot with
+    ``np.add.at``: a referee for the pattern-domain window sums that shares
+    none of their steps."""
     spec = schedule.spec
     per_rev = spec.slots_per_revolution
-    out = np.zeros((len(frames), spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
-    for acc, frame in zip(out, frames):
-        lo, hi = math.ceil(frame.start / slot_dt), math.ceil(frame.end / slot_dt)
+    spans = frame_spans(timing, slot_dt)
+    out = np.zeros((len(spans), spec.n, spec.k, spec.n_cell, 3), dtype=np.int64)
+    for acc, (start, end) in zip(out, spans):
+        lo, hi = math.ceil(start / slot_dt), math.ceil(end / slot_dt)
         for b_lo in range(lo, hi, sim.BLOCK_SLOTS):
             b_hi = min(b_lo + sim.BLOCK_SLOTS, hi)
             j = np.arange(b_lo, b_hi) % per_rev
             terms = matrix[schedule.pattern_index[j]][:, :, None] * buckets[b_lo:b_hi, None, :]
             np.add.at(acc, (schedule.rows[j], schedule.cells[j]), terms)
-    return out.reshape(len(frames), spec.n, spec.n, 3)
+    return out.reshape(len(spans), spec.n, spec.n, 3)
 
 
 @pytest.mark.parametrize("order_mode", disk.ORDER_MODES)
@@ -1254,11 +1271,11 @@ def test_pattern_domain_switch_changes_no_bytes_at_n155(order_mode):
         total_duration=Fraction(5),
     )
     result = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=3)
-    assert len(result.images) == 2
+    assert len(result.frames) == 2
     direct = scatter_frames(
-        schedule, patterns.patterns, result.trace.buckets, result.frames, result.trace.slot_dt
+        schedule, patterns.patterns, result.trace.buckets, timing, result.trace.slot_dt
     )
-    assert np.array_equal(result.images, direct)
+    assert np.array_equal(result.frames, direct)
 
 
 def test_sliding_steps_at_n155_trace_under_3_mib():
@@ -1284,7 +1301,7 @@ def test_sliding_steps_at_n155_trace_under_3_mib():
     # pending sums and one frame being handed out (0.55 MiB each), the last
     # 240 buckets and one chunk of projected cells.
     assert peak - images.nbytes <= 3 * 2**20
-    direct = scatter_frames(schedule, patterns.patterns, buckets, result.frames, slot_dt)
+    direct = scatter_frames(schedule, patterns.patterns, buckets, timing, slot_dt)
     assert np.array_equal(images, direct)
 
 
@@ -1314,7 +1331,6 @@ def test_array_dataclasses_compare_by_identity():
     pairs = [
         (hadamard.reduce_matrix(h8), hadamard.reduce_matrix(h8)),
         (scene.builtin_letter("U", 35), scene.builtin_letter("U", 35)),
-        (result.frames[0], dataclasses.replace(result.frames[0])),
         (result, dataclasses.replace(result)),
         (result.trace, dataclasses.replace(result.trace)),
         (schedule, disk.build_schedule(spec)),
@@ -1337,9 +1353,8 @@ def test_frame_ppm_scaling(tmp_path):
     image = np.zeros((2, 2, 3), dtype=np.int64)
     image[0, 0] = (6, 3, 0)
     image[1, 1] = (1, 1, 1)
-    frame = sim.ExposureFrame(start=Fraction(0), end=Fraction(1), image=image)
     path = tmp_path / "f.ppm"
-    sim.write_frame_ppm(frame.image[None], [path])
+    sim.write_frame_ppm(image[None], [path])
     out = pnm.read_ppm(path)
     # Peak 6 maps to 255; 3 -> 128 (127.5 rounds up); 1 -> 43 (42.5 rounds up).
     assert out[0, 0].tolist() == [255, 128, 0]
@@ -1349,20 +1364,16 @@ def test_frame_ppm_scaling(tmp_path):
 def test_zero_frame_ppm_stays_zero(tmp_path):
     from ghostdisk import pnm
 
-    frame = sim.ExposureFrame(
-        start=Fraction(0), end=Fraction(1), image=np.zeros((3, 3, 3), dtype=np.int64)
-    )
     path = tmp_path / "z.ppm"
-    sim.write_frame_ppm(frame.image[None], [path])
+    sim.write_frame_ppm(np.zeros((1, 3, 3, 3), dtype=np.int64), [path])
     assert not pnm.read_ppm(path).any()
 
 
 def test_frame_txt_round_trip(tmp_path):
     gen = np.random.default_rng(16)
     image = gen.integers(0, 10_000, size=(5, 5, 3)).astype(np.int64)
-    frame = sim.ExposureFrame(start=Fraction(0), end=Fraction(1), image=image)
     path = tmp_path / "f.txt"
-    sim.write_frame_txt(frame.image[None], [path])
+    sim.write_frame_txt(image[None], [path])
     assert path.read_bytes() == frame_txt_oracle(image)
     text = path.read_text()
     assert text.startswith("# channel red\n")
@@ -1389,10 +1400,10 @@ def test_frame_ppm_exact_past_int64_product(tmp_path):
     result = sim.simulate(
         obj, scene.Trajectory(), schedule, patterns, timing, noise_sigma=1e17, seed=0
     )
-    (image,) = result.images
+    (image,) = result.frames
     assert image.max() > 2**63 // 510
     path = tmp_path / "f.ppm"
-    sim.write_frame_ppm(result.images, [path])
+    sim.write_frame_ppm(result.frames, [path])
     assert pnm.read_ppm(path).ravel().tolist() == ppm_oracle(image)
 
 
@@ -1531,19 +1542,65 @@ def test_frame_exports_trace_flat_in_frame_size(tmp_path):
         assert path.stat().st_size == len(pnm.header("P6", n, n)) + 3 * n * n
 
 
-def test_frame_images_are_views_of_one_array():
-    spec, patterns, schedule = make_setup()
+def streamed(obj, traj, schedule, patterns, timing, **kwargs):
+    """``simulate`` through a sink: its result, then the buckets and frames
+    the sink was handed, each stacked into one array."""
+    buckets, frames = [np.empty((0, 3), np.int64)], [np.empty((0, obj.side, obj.side, 3), np.int64)]
+
+    def sink(slot_lo, rows, frame_lo, images):
+        assert [slot_lo, frame_lo] == [sum(map(len, buckets)), sum(map(len, frames))]
+        buckets.append(rows.copy())
+        frames.append(images.copy())
+
+    result = sim.simulate(obj, traj, schedule, patterns, timing, sink=sink, **kwargs)
+    return result, np.concatenate(buckets), np.concatenate(frames)
+
+
+@pytest.mark.parametrize("window_mode", sim.WINDOW_MODES)
+@pytest.mark.parametrize("motion", ["static", "linear"])
+def test_streamed_run_equals_collected_run(window_mode, motion):
+    # 90 revolutions of 49 slots cross a BLOCK_SLOTS edge; sliding windows
+    # hand the sink several frame batches.
+    spec, patterns, schedule = make_setup(n=7, k=1)
+    if motion == "static":
+        traj = scene.Trajectory()
+    else:
+        traj = scene.Trajectory(mode="linear", velocity=(Fraction(1, 9), Fraction(-1, 15)))
     timing = sim.TimingConfig(
-        revolution_period=Fraction(1, 5),
-        persistence_window=Fraction(1, 5),
-        window_mode="sliding",
-        total_duration=Fraction(2, 5),
+        revolution_period=Fraction(1), persistence_window=Fraction(1, 2),
+        window_mode=window_mode, total_duration=Fraction(90),
     )
-    result = sim.simulate(random_scene(6, 3), scene.Trajectory(), schedule, patterns, timing)
-    assert result.images.shape == (len(result.frames), 6, 6, 3)
-    for frame, image in zip(result.frames, result.images):
-        assert np.shares_memory(frame.image, result.images)
-        assert np.array_equal(frame.image, image)
+    obj = random_scene(7, 33)
+    collected = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=15)
+    result, buckets, frames = streamed(
+        obj, traj, schedule, patterns, timing, noise_sigma=2.0, seed=15
+    )
+    count = sim.window_grid(timing, collected.trace.slot_dt)[1]
+    assert collected.frames.shape == (count, 7, 7, 3) and collected.frames.dtype == np.int64
+    assert collected.trace.buckets.shape == (90 * 49, 3) and 90 * 49 > sim.BLOCK_SLOTS
+    assert_traces_equal(collected.trace, sim.BucketTrace(buckets=buckets, slot_dt=Fraction(1, 49)))
+    assert np.array_equal(collected.frames, frames)
+    assert result.frames.shape == (0, 7, 7, 3) and result.frames.dtype == np.int64
+    assert_traces_equal(result.trace, sim.BucketTrace(buckets=buckets[:0], slot_dt=Fraction(1, 49)))
+
+
+@pytest.mark.parametrize("window_mode", sim.WINDOW_MODES)
+@pytest.mark.parametrize("collect", [True, False], ids=["collected", "streamed"])
+def test_run_without_complete_window_returns_zero_frames(window_mode, collect):
+    spec, patterns, schedule = make_setup(n=3, k=1)
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(9), persistence_window=Fraction(20),
+        window_mode=window_mode, total_duration=Fraction(9),
+    )
+    calls = []
+    result = sim.simulate(
+        random_scene(3, 10), scene.Trajectory(), schedule, patterns, timing,
+        sink=None if collect else lambda *part: calls.append(part),
+    )
+    assert result.frames.shape == (0, 3, 3, 3) and result.frames.dtype == np.int64
+    assert result.trace.slot_dt == Fraction(1)
+    assert result.trace.buckets.shape == ((9 if collect else 0), 3)
+    assert [len(frames) for *_, frames in calls] == ([] if collect else [0])
 
 
 def step_offsets(velocity, slot_dt, hold, n, slot_count):
@@ -1844,14 +1901,16 @@ def test_windows_equal_direct_sums(
         starts = [w * window for w in range(int(duration / window))]
     else:
         starts = [t for t in times if t + window <= duration]
-    assert [(f.start, f.end) for f in result.frames] == [(t, t + window) for t in starts]
+    spans = frame_spans(timing, slot_dt)
+    assert spans == [(t, t + window) for t in starts]
+    assert result.frames.shape == (len(starts), n, n, 3)
+    assert result.frames.dtype == np.int64
     contributions = [slot_contribution(masks[s], buckets[s]) for s in range(len(times))]
-    for frame in result.frames:
-        lo = bisect.bisect_left(times, frame.start)
-        hi = bisect.bisect_left(times, frame.end)
+    for frame, (start, end) in zip(result.frames, spans):
+        lo = bisect.bisect_left(times, start)
+        hi = bisect.bisect_left(times, end)
         expected = sum(contributions[lo:hi], np.zeros((n, n, 3), dtype=np.int64))
-        assert frame.image.dtype == np.int64
-        assert np.array_equal(frame.image, expected)
+        assert np.array_equal(frame, expected)
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "bucket.csv"
