@@ -197,20 +197,29 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+COMMANDS = ("patterns", "schedule", "layout", "simulate", "report")
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``ghostdisk`` parser; given ``command``, only that subcommand gets its options."""
+    """The ``ghostdisk`` parser; given a subcommand, only that one's parser is built.
+
+    The subcommand list still names all five, so usage lines and argparse
+    errors read the same either way.
+    """
+    only = command in COMMANDS
     parser = argparse.ArgumentParser(
         prog="ghostdisk",
         description="Rotating-disk single-pixel imaging simulator.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if only else None)
 
     def add(name: str, text: str, handler, disk: bool = False) -> argparse.ArgumentParser | None:
+        if only and name != command:
+            return None
         p = sub.add_parser(name, help=text)
         p.set_defaults(handler=handler)
-        if command not in (None, name):
-            return None
         if disk:
             p.add_argument("--n", type=int, required=True)
             p.add_argument("--k", type=int, required=True)
@@ -242,9 +251,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top level takes no option values, so its first argument not
-    # starting with "-" is the subcommand argparse picks, if any is.
-    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+    # A subcommand named first is the one argparse picks; anything else,
+    # an option or an invalid choice, gets the parser of every subcommand.
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:  # ConfigError included

@@ -32,7 +32,7 @@ import numpy as np
 
 from .disk import PartitionSpec, ScanSchedule, check_pattern_length, place_pattern
 from .hadamard import ReducedPatternSet, gram_coefficients
-from .sim import _int_cells
+from .sim import _int_columns, _join
 
 __all__ = [
     "build_measurement_matrix",
@@ -264,19 +264,22 @@ def frame_report(image: np.ndarray, scene_pixels: np.ndarray, spec: PartitionSpe
 def write_report_csv(report: FrameReport, path) -> None:
     """Write a ``frame_report`` as ``report.csv``; no prediction leaves both its fields empty.
 
-    Each column is spelled as fixed-width ``sim._int_cells`` cells, and
-    dropping their zero padding leaves the rows.
+    The row and cell numbers share one ``sim._int_columns`` call and the
+    five value columns another; ``sim._join`` moves each column into one
+    buffer of fixed-width cells, and dropping its zero bytes leaves the rows.
     """
     i = np.arange(len(report))
-    region = np.concatenate([np.full((len(i), 1), ord("r"), np.uint8),
-                             _int_cells(i // (3 * report.k), ord("c")),
-                             _int_cells(i // 3 % report.k, ord(","))], axis=1)
-    region[-3:] = 0
-    region[-3:, :5] = np.frombuffer(b"full,", dtype=np.uint8)
-    cells = [_int_cells(report.values[:, c], ord(sep)) for c, sep in enumerate(",,,,\n")]
-    for predicted in cells[1:3]:
-        predicted[~report.predicts, :-1] = 0
-    channel = np.frombuffer(b"red,\0\0green,blue,\0", dtype=np.uint8).reshape(3, 6)[i % 3]
-    table = np.concatenate([region, channel, *cells], axis=1)
+    row, cell = _int_columns(np.stack([i // (3 * report.k), i // 3 % report.k], axis=1))
+    columns = _int_columns(report.values)
+    for predicted in columns[1:3]:
+        predicted[-1][~report.predicts] = 0
+    channel = np.resize(np.frombuffer(b"red,\0\0green,blue,\0", dtype=np.uint8), (len(i), 6))
+    parts = [ord("r"), *row, ord("c"), *cell, ord(","), channel]
+    for column, sep in zip(columns, b",,,,\n"):
+        parts += [*column, sep]
+    table = _join(len(i), parts)
+    region = 3 + row[-1].shape[1] + cell[-1].shape[1]
+    table[-3:, :region] = 0
+    table[-3:, :5] = np.frombuffer(b"full,", dtype=np.uint8)
     head = b"region,channel,n_obj,predicted_num,predicted_den,measured_num,measured_den\n"
     Path(path).write_bytes(head + table.tobytes().translate(None, b"\0"))

@@ -50,11 +50,13 @@ COLOR_CHANNELS = {
 }
 
 
-def as_fraction(value) -> Fraction:
+def as_fraction(value, name: str | None = None) -> Fraction:
     """Exact rational from int, Fraction, str, or float.
 
     Floats are read through their shortest decimal representation, so the
-    Fraction for 0.2 is exactly 1/5 rather than the binary expansion.
+    Fraction for 0.2 is exactly 1/5 rather than the binary expansion.  A
+    non-finite float is refused with ``ValueError``, after ``name:`` when
+    the setting's ``name`` is given.
     """
     if isinstance(value, Fraction):
         return value
@@ -63,7 +65,8 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         exact = Decimal(str(value))
         if not exact.is_finite():
-            raise ValueError(f"cannot interpret {value!r} as an exact rational")
+            setting = f"{name}: " if name else ""
+            raise ValueError(f"{setting}cannot interpret {value!r} as an exact rational")
         return Fraction(exact)
     if isinstance(value, str):
         return Fraction(value)
@@ -159,9 +162,9 @@ class Trajectory:
         if self.mode not in ("static", "linear"):
             raise ValueError(f"mode must be 'static' or 'linear', got {self.mode!r}")
         vx, vy = self.velocity
-        object.__setattr__(self, "velocity", (as_fraction(vx), as_fraction(vy)))
+        object.__setattr__(self, "velocity", (as_fraction(vx, "velocity"), as_fraction(vy, "velocity")))
         if self.hold_interval is not None:
-            hold = as_fraction(self.hold_interval)
+            hold = as_fraction(self.hold_interval, "hold_interval")
             if hold <= 0:
                 raise ValueError(f"hold_interval must be positive, got {hold}")
             object.__setattr__(self, "hold_interval", hold)

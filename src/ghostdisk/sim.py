@@ -18,7 +18,12 @@ costs.  The invariants the code keeps, and where each is argued:
 * A streamed run holds arrays that do not grow with its length
   (``simulate``, ``_windows``), and exports take runs of whole rows of at
   most ``FRAME_BLOCK_VALUES`` values.
-* ``bucket.csv`` times are each slot start's ``repr`` (``_decimal_cells``).
+* Exports spell numbers in base-10**4 groups from one table
+  (``_int_words``), each column cut to the digits its largest value needs
+  and moved into one buffer per run as one item per row (``_join``).
+* ``bucket.csv`` times are each slot start's ``repr``: a per-exponent
+  scale leaves at most one multiple of 10 in its rounding interval, so
+  the digits need no search (``_decimal_cells``).
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ class TimingConfig:
 
     def __post_init__(self):
         for name in ("revolution_period", "persistence_window", "total_duration"):
-            value = as_fraction(getattr(self, name))
+            value = as_fraction(getattr(self, name), name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
             object.__setattr__(self, name, value)
@@ -502,7 +507,9 @@ def _scale_ppm(v: np.ndarray, peak: np.int64) -> np.ndarray:
     p = np.maximum(peak, 1)
     d = np.maximum(p // 510, 1)
     b = p - 510 * d
-    q, t = np.divmod(v, d)
+    q = v // d  # floor_divide has a fast path for a scalar divisor; divmod has none
+    t = q * d
+    np.subtract(v, t, out=t)
     t *= 510
     t -= q * b
     t //= p
@@ -541,57 +548,98 @@ def write_frame_ppm(images: np.ndarray, paths) -> None:
 
 _CHANNEL_HEADERS = tuple(f"# channel {name}\n".encode("ascii") for name in ("red", "green", "blue"))
 _GROUP = np.uint64(10_000)
-# Offsets of the three spellings in _group_spellings().
-_LEADING, _INNER, _UNITS = 0, 10_000, 20_000
 
 
 @functools.cache
 def _group_spellings() -> np.ndarray:
-    """``(3 * 10**4,)`` uint32: the four ASCII bytes of each base-10**4 group.
+    """``(2 * 10**4,)`` uint32: the four ASCII bytes of each base-10**4 group.
 
-    Entry ``offset + g`` spells ``g`` as a leading group (``_LEADING``: its
-    leading zeros become zero bytes, so 0 is four zero bytes), as an inner
-    group (``_INNER``: zero-padded to four digits) or as a value's only
-    group (``_UNITS``: like leading, but 0 spells "0").  ``_int_cells``
-    reads it for both text exports: frame ``.txt`` files and ``bucket.csv``.
+    Entry ``g`` spells ``g`` as an inner group, zero-padded to four digits;
+    entry ``10**4 + g`` spells it as a leading group, its leading zeros as
+    zero bytes (so 0 is four zero bytes).  ``_int_words`` reaches the
+    second half through the index ``g - 10**4``, which numpy wraps.
     """
     g = np.arange(10_000)
     digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
     inner = (digits + ord("0")).astype(np.uint8)
     leading = np.where(np.cumsum(digits, axis=1) == 0, 0, inner).astype(np.uint8)
-    units = leading.copy()
-    units[0, 3] = ord("0")
-    table = np.concatenate([leading, inner, units]).view(np.uint32).reshape(-1)
+    table = np.concatenate([inner, leading]).view(np.uint32).reshape(-1)
     table.setflags(write=False)  # cached: every caller shares it
     return table
+
+
+def _int_words(mag: np.ndarray, groups: int, leading: bool = True) -> np.ndarray:
+    """``mag.shape + (groups,)`` uint32: uint64 magnitudes below ``10**(4 groups)`` as spelled groups.
+
+    Groups run most significant first.  With ``leading``, a group with no
+    digit above it is spelled as a leading group and the last byte always
+    shows its digit, so dropping the zero bytes leaves ``str(value)``;
+    without, every group is zero-padded.  Every division has a scalar
+    divisor, for which numpy's ``floor_divide`` has a fast path, and the
+    top group, having no digit above it, needs none.
+    """
+    idx = np.empty(mag.shape + (groups,), dtype=np.intp)
+    quot = mag
+    for col in range(groups - 1, 0, -1):
+        nxt = quot // _GROUP
+        cut = nxt * _GROUP
+        if leading:  # a quotient of 0 cuts 10**4 more: a leading group
+            np.maximum(cut, _GROUP, out=cut)
+        np.subtract(quot.view(np.int64), cut.view(np.int64), out=idx[..., col])
+        quot = nxt
+    np.subtract(quot.view(np.int64), int(_GROUP) * leading, out=idx[..., 0])
+    words = _group_spellings()[idx]
+    words[..., -1] |= np.frombuffer(b"\0\0\x000", dtype=np.uint32)[0]  # 0 spells "0"
+    return words
+
+
+def _int_columns(values: np.ndarray) -> list[list]:
+    """``_join`` parts of each column of a 2-D int64 or uint64 array.
+
+    Each column is its digits (``_int_words``), cut to as many bytes as the
+    array's largest magnitude has digits, after a sign byte column if any
+    value of the array is negative.
+    """
+    mag = np.abs(values).view(np.uint64)  # exact for -2**63 too
+    digits = len(str(int(mag.max(initial=0))))
+    text = _int_words(mag, -(-digits // 4)).view(np.uint8)[..., -digits:]
+    if values.min(initial=0) >= 0:
+        return [[text[:, c]] for c in range(values.shape[1])]
+    signs = (values < 0).view(np.uint8) * np.uint8(ord("-"))
+    return [[signs[:, c], text[:, c]] for c in range(values.shape[1])]
+
+
+def _join(rows: int, parts: list) -> np.ndarray:
+    """``(rows, width)`` uint8 cells holding each part's bytes in turn on every row.
+
+    A part is a byte value, the same on every row; a 1-D uint8 array, one
+    byte per row; or a 2-D array whose last axis is contiguous, whose bytes
+    on each row move as one void item.  Dropping the zero bytes of the
+    cells leaves the text.
+    """
+    widths = [1 if np.ndim(part) < 2 else part.shape[1] * part.itemsize for part in parts]
+    cells = np.empty((rows, sum(widths)), dtype=np.uint8)
+    col = 0
+    for part, width in zip(parts, widths):
+        if np.ndim(part) < 2:
+            cells[:, col] = part
+        else:
+            item = f"V{width}"
+            cells[:, col : col + width].view(item)[:, 0] = part.view(item)[:, 0]
+        col += width
+    return cells
 
 
 def _int_cells(values: np.ndarray, sep: int) -> np.ndarray:
     """A 1-D int64 or uint64 array as fixed-width ASCII cells, one row per value.
 
-    Each cell is a sign byte, one four-byte ``_group_spellings()`` entry per
-    base-10**4 digit group (as many groups as the largest magnitude needs)
-    and the separator byte ``sep``; padding bytes are zero, so
-    ``cells[cells != 0]`` leaves each ``str(value)`` and its separator.
-    Both text exports spell their integers here: frame ``.txt`` values and
-    ``bucket.csv``'s slot and color columns.
+    Each cell is a sign byte if any value is negative, the value's digits
+    (``_int_columns``) and the separator byte ``sep``; dropping the zero
+    bytes leaves each ``str(value)`` and its separator.  Frame ``.txt``
+    values are spelled here.
     """
-    quot = np.abs(values).view(np.uint64)  # exact for -2**63 too
-    groups, top = 1, int(quot.max(initial=0))
-    while top >= 10_000**groups:
-        groups += 1
-    idx = np.empty((len(values), groups), dtype=np.intp)
-    for col in range(groups - 1, -1, -1):
-        nxt = quot // _GROUP
-        quot -= nxt * _GROUP
-        idx[:, col] = quot
-        idx[:, col] += np.where(nxt > 0, _INNER, _UNITS if col == groups - 1 else _LEADING)
-        quot = nxt
-    cells = np.empty((len(values), 4 * groups + 2), dtype=np.uint8)
-    cells[:, 0] = np.where(values < 0, ord("-"), 0)
-    cells[:, 1:-1] = _group_spellings()[idx].view(np.uint8)
-    cells[:, -1] = sep
-    return cells
+    (parts,) = _int_columns(values[:, None])
+    return _join(len(values), [*parts, sep])
 
 
 def _text_pieces(images: np.ndarray) -> Iterator[tuple[int, bytes]]:
@@ -612,10 +660,9 @@ def _text_pieces(images: np.ndarray) -> Iterator[tuple[int, bytes]]:
         cells = cells.reshape(hi - lo, -1)
         cells[:, -1] = ord("\n")
         for a, b in itertools.pairwise(cuts):
-            text = cells[a - lo : b - lo].tobytes().translate(None, b"\0")
             if a % height == 0:
-                text = _CHANNEL_HEADERS[a // height % 3] + text
-            yield a // (3 * height), text
+                yield a // (3 * height), _CHANNEL_HEADERS[a // height % 3]
+            yield a // (3 * height), cells[a - lo : b - lo].tobytes().translate(None, b"\0")
 
 
 def frame_texts(images: np.ndarray) -> list[bytes]:
@@ -633,56 +680,102 @@ def write_frame_txt(images: np.ndarray, paths) -> None:
     _write_pieces(_text_pieces(images), paths)
 
 
-def _decimal_cells(t: np.ndarray) -> np.ndarray:
-    """Zero-padded cells of ``repr(x) + ","`` for each float ``x`` of ``t``, in ``[1e-4, 2**50)``.
+@functools.cache
+def _decimal_tables() -> tuple[np.ndarray, ...]:
+    """Constants of ``_decimal_cells``.
 
-    ``repr`` spells there the shortest digits nearest ``x = m 2**e`` (``2**52 <=
-    m < 2**53``; ties to even) strictly between ``(4m -+ 2) 2**(e-2)`` (``4m - 1``
-    if ``m = 2**52``).  Times ``10**b``, ``b = 17 - floor((e + 52) log10 2)``
-    (exactly ``(e + 52) * 78913 >> 18`` here; ``floor(log10 x)`` or one less),
-    which puts the scaled ``x`` in ``[10**17, 2 10**18)``, these are ``N 5**b /
-    2**sh < 2**61``, ``sh = 2 - e - b``, with ``3 <= b <= 22`` and ``2 <= sh <=
-    46``: the float ``D = floor(x * 10**b)`` is within ``2**9``, so ``R = 4m 5**b
-    - D 2**sh``, below ``2**56``, is exact in wrapping uint64.  It gives the
-    scaled ``x`` as ``v + r / 2**sh``, the bounds' floors as ``v + ((r -+ 2 5**b)
-    >> sh)``, and, as ``N`` is odd or twice odd, no bound is an integer at any
-    scale used.  The interval, wider than 11, keeps a multiple of ``10**d`` for
-    the most ``d >= 1`` (bisection: fewer always do); the scaled ``x`` rounds half
-    to even there (``r`` tells a tie), moves back inside, and spells as its whole
-    part by ``_int_cells`` and its fraction, leading pad zeroed, by inner
-    ``_group_spellings()`` entries.
+    Rows by the biased exponent ``e`` of ``x``, as uint64: ``sh``,
+    ``5**b``, ``10**b`` modulo ``2**64``, ``2**(sh - 1) - 1``, ``20 b`` and
+    the bits of ``10.0**b``.  Masks by ``20 b + d``: six words keeping, of
+    a fraction of ``b`` digits right-aligned in 24 bytes, all but its ``d``
+    trailing digits, and at least the first.  Each group's trailing zeros
+    (four for 0), and the powers of ten from 10.
     """
-    frac, exp = np.frexp(t)
-    m = (frac * 2.0**53).astype(np.int64)
-    b = 17 - ((exp - 1) * 78913 >> 18)
-    sh = 55 - exp - b
-    five = np.array([5**i for i in range(23)])[b]
-    est = (t * np.ldexp(five.astype(np.float64), b)).astype(np.int64)
-    r = (4 * m).view(np.uint64) * five.view(np.uint64)  # wraps modulo 2**64 on purpose
-    r -= est.view(np.uint64) << sh.astype(np.uint64)
-    v = est + (r.view(np.int64) >> sh)
-    r = r.view(np.int64) - ((v - est) << sh)
-    lo, hi = (v + ((r + c * five) >> sh) for c in ((m == 2**52) - 2, 2))  # the bounds' floors
-    p10 = np.array([10 ** min(i, 18) for i in range(32)])  # no multiple of 10**19 is < 2**61
-    d = np.zeros_like(v)
-    for step in (16, 8, 4, 2, 1):
-        p = p10[d + step]
-        d += step * (hi - hi % p > lo)
-    p = p10[d]
-    q, rem = np.divmod(v, p)
-    q += 2 * rem + (r != 0) + q % 2 > p
-    q += q * p <= lo
-    q -= q * p > hi
-    k = np.minimum(d, 18) - b
-    whole, part = np.divmod(q * p10[np.maximum(k, 0)], p10[np.maximum(-k, 0)])
-    groups = max(1, -(-int(-k.min(initial=0)) // 4))
-    idx = np.empty((len(t), groups), dtype=np.intp)
-    for col in range(groups - 1, -1, -1):
-        part, idx[:, col] = np.divmod(part, 10_000)
-    keep = np.arange(4 * groups) >= 4 * groups - np.arange(32)[:, None]
-    digits = _group_spellings()[idx + _INNER].view(np.uint8) * keep[np.maximum(-k, 1)]
-    comma = np.full((len(t), 1), ord(","), dtype=np.uint8)
-    return np.concatenate([_int_cells(whole, ord(".")), digits, comma], axis=1)
+    per_key = np.zeros((1073, 6), dtype=np.uint64)
+    for e in range(1009, 1073):  # [1e-4, 2**50)
+        b = next(b for b in range(23) if 10**b > 2 ** (1075 - e))  # the least with 10**b > 2**(52 - E)
+        sh = 1077 - e - b
+        per_key[e, :5] = sh, 5**b, 10**b % 2**64, 2 ** (sh - 1) - 1, 20 * b
+        per_key[e, 5:].view(np.float64)[0] = 10.0**b
+    b, d, at = np.ogrid[:21, :20, 23:-1:-1]  # at: each byte's digit position
+    keep = np.where((at < b) & (at >= np.minimum(d, b - 1)), 0xFF, 0).astype(np.uint8)
+    g = np.arange(10_000)
+    trailing = sum((g % 10**i == 0).astype(np.uint8) for i in range(1, 5))
+    powers = np.uint64(10) ** np.arange(1, 16, dtype=np.uint64)
+    return per_key, keep.view(np.uint32).reshape(420, 6), trailing, powers
+
+
+def _decimal_cells(t: np.ndarray, *after) -> np.ndarray:
+    """Cells of ``repr(x) + ","`` for each float ``x`` of ``t`` in ``[1e-4, 2**50)``.
+
+    ``repr`` gives there the shortest digits nearest ``x = m 2**(E-52)``
+    (``2**52 <= m < 2**53``; ties to even) strictly inside ``(x - u/2, x +
+    u/2)``, ``u = 2**(E-52)``.  Each row takes the least ``b`` that makes
+    ``u`` longer than ``10**-b``: then it is at most 10 such units long, and
+    ``X = 10**b x = 4m 5**b / 2**sh`` (``sh = 54 - E - b``, 4 to 48) is
+    below ``2**57``.  The float ``10**b x`` is within ``2**5`` of ``X``, so
+    ``4m 5**b - est 2**sh``, below ``2**53``, is exact in wrapping uint64;
+    it gives ``X = v + r / 2**sh`` and the bounds' floors ``v + ((r -+ 2
+    5**b) >> sh)`` (no bound is an integer).  The interval holds at most
+    one multiple of 10: if it holds one, that is the digits ``Q``, with
+    all its trailing zeros; otherwise ``Q`` is ``X`` rounded half to even,
+    which lies inside.  A power of two, whose interval is half as wide
+    below, is an exact decimal in this range with ``X`` a multiple of 10,
+    so it is taken as itself.  Every divisor is a scalar, and ``b``, ``sh``
+    and ``5**b`` come per row from one ``take``.
+
+    No integer lies between ``x`` and ``Q / 10**b`` unless that is ``x``,
+    so the whole part is ``x`` truncated.  The fraction ``Q - whole 10**b``
+    (exact modulo ``2**64``) is spelled zero-padded, and a mask per row
+    keeps its ``b`` digits but the trailing zeros, at least one.  The
+    ``_join`` parts ``after`` follow on each row.
+    """
+    per_key, keep, trailing, powers = _decimal_tables()
+    bits = t.view(np.int64)
+    sh, five, tens, halves, b20, scale = np.take(per_key, bits >> 52, axis=0).T
+    est = (t * scale.view(np.float64)).astype(np.int64)
+    r = bits & (2**52 - 1)
+    r |= 2**52
+    r = r.view(np.uint64) << np.uint64(2)
+    r *= five  # wraps modulo 2**64 on purpose
+    r -= est.view(np.uint64) << sh
+    r, sh, five = r.view(np.int64), sh.view(np.int64), 2 * five.view(np.int64)
+    v = r >> sh
+    r -= v << sh
+    v += est  # X = v + r / 2**sh, 0 <= r < 2**sh
+    low = r - five
+    low >>= sh
+    low += v
+    ten = r + five
+    ten >>= sh
+    ten += v
+    ten //= 10  # the floors of the bounds, over 10
+    taken = ten > low // 10
+    digits = v & 1
+    digits += r
+    digits += halves.view(np.int64)
+    digits >>= sh
+    digits += v
+    ten *= 10
+    np.copyto(digits, ten, where=taken)
+    # Mask rows: 20 b + the trailing zeros, which only a taken multiple of 10 has.
+    quot = digits.view(np.uint64)
+    nxt = quot // _GROUP
+    group = quot - nxt * _GROUP
+    mask = b20.astype(np.intp)
+    b_hi = int(mask.max(initial=20)) // 20
+    mask += trailing[group]
+    more = np.flatnonzero(group == 0)  # four trailing zeros or more
+    mask[more] += np.count_nonzero(nxt[more, None] % powers == 0, axis=1)
+    whole = t.astype(np.int64).view(np.uint64)
+    quot -= whole * tens  # the fraction, below 10**b
+    groups = -(-b_hi // 4)
+    frac = np.take(keep[:, 6 - groups :].copy().view(f"V{4 * groups}")[:, 0], mask)
+    frac = frac.view(np.uint32).reshape(len(t), groups)
+    frac &= _int_words(quot, groups, leading=False)
+    width = len(str(int(whole.max(initial=0))))
+    head = _int_words(whole, -(-width // 4)).view(np.uint8)[:, -width:]
+    return _join(len(t), [head, ord("."), frac.view(np.uint8)[:, 4 * groups - b_hi :], ord(","), *after])
 
 
 def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
@@ -693,8 +786,9 @@ def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
     so a run written block by block gives the same bytes as a whole trace.
     Each time is ``repr(s * num / den)`` (README, Outputs): in each block
     the rows in ``[1e-4, 2**50)`` while ``s * num`` and ``den`` stay below
-    ``2**53`` become one array of fixed-width cells (``_decimal_cells`` and
-    ``_int_cells``); the rest call ``repr``, one f-string each.
+    ``2**53`` become one buffer of fixed-width cells, each column moved in
+    as one item per row (``_decimal_cells``, ``_int_columns``, ``_join``);
+    the rest call ``repr``, one f-string each.
     """
     num, den = trace.slot_dt.numerator, trace.slot_dt.denominator
     buckets = np.asarray(trace.buckets, dtype=np.int64)
@@ -713,10 +807,11 @@ def write_bucket_csv(trace: BucketTrace, path, first_slot: int = 0) -> None:
             exact = (s_hi - 1) * num < 2**53 and den < 2**53
             t = np.arange(s_lo, s_hi) * float(num) / den if exact else np.zeros(0)
             i, j = np.searchsorted(t, [1e-4, 2.0**50]).tolist()  # rows i .. j-1 skip repr
-            slots = _int_cells(np.arange(s_lo, s_hi, dtype=np.int64), ord(","))
-            rgb = _int_cells(block.reshape(-1), ord(",")).reshape(len(block), -1)
-            rgb[:, -1] = ord("\n")
-            cells = np.concatenate([_decimal_cells(t[i:j]), slots[i:j], rgb[i:j]], axis=1)
             fh.write(repr_rows(block[:i], s_lo))
-            fh.write(cells.tobytes().translate(None, b"\0"))
+            if i < j:
+                slots = np.arange(s_lo + i, s_lo + j, dtype=np.int64)[:, None]
+                (slot,), (red, green, blue) = _int_columns(slots), _int_columns(block[i:j])
+                cells = _decimal_cells(t[i:j], *slot, ord(","), *red, ord(","), *green, ord(","),
+                                       *blue, ord("\n"))
+                fh.write(cells.tobytes().translate(None, b"\0"))
             fh.write(repr_rows(block[j:], s_lo + j))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from ghostdisk import config, disk, metrics, pnm, scene, sim
+from ghostdisk import cli, config, disk, metrics, pnm, scene, sim
 from ghostdisk.cli import main
 from test_sim import assert_matches_dense_oracle
 
@@ -783,6 +784,16 @@ def test_top_level_and_error_lines_match_recorded_text(capsys, monkeypatch, argv
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == RECORDED_CLI_LINES[argv]
+
+
+def test_parser_for_a_subcommand_builds_only_that_subcommand():
+    def built(parser):
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return list(sub.choices)
+
+    assert built(cli.build_parser()) == list(cli.COMMANDS)
+    for command in cli.COMMANDS:
+        assert built(cli.build_parser(command)) == [command]
 
 
 # Near-misses every setting is drawn from: bounds, non-finite and

@@ -119,16 +119,19 @@ def test_non_finite_floats_are_refused_with_value_error(value):
     # caller would not expect for a bad value.
     from ghostdisk import sim
 
-    message = f"^cannot interpret {re.escape(repr(value))} as an exact rational$"
-    for make in (
-        lambda: scene.as_fraction(value),
-        lambda: sim.TimingConfig(persistence_window=value),
-        lambda: sim.TimingConfig(revolution_period=value),
-        lambda: scene.Trajectory(mode="linear", velocity=(value, 0)),
-        lambda: scene.Trajectory(mode="linear", velocity=(0, value)),
-        lambda: scene.Trajectory(mode="linear", hold_interval=value),
+    refusal = f"cannot interpret {re.escape(repr(value))} as an exact rational$"
+    with pytest.raises(ValueError, match="^" + refusal):
+        scene.as_fraction(value)
+    # A setting's refusal names the setting.
+    for name, make in (
+        ("persistence_window", lambda: sim.TimingConfig(persistence_window=value)),
+        ("revolution_period", lambda: sim.TimingConfig(revolution_period=value)),
+        ("total_duration", lambda: sim.TimingConfig(total_duration=value)),
+        ("velocity", lambda: scene.Trajectory(mode="linear", velocity=(value, 0))),
+        ("velocity", lambda: scene.Trajectory(mode="linear", velocity=(0, value))),
+        ("hold_interval", lambda: scene.Trajectory(mode="linear", hold_interval=value)),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{name}: {refusal}"):
             make()
 
 

@@ -1835,6 +1835,47 @@ def test_decimal_cells_round_exact_ties_to_even():
     assert decimal_cells_text(ties) == repr_text(ties)
 
 
+@pytest.mark.parametrize("times", [
+    # noisy_155's first block: slots 13 to 4,095 span ten binary exponents.
+    np.arange(13, 4096) * 1.0 / 120125,
+    # A block across 0.25 s, a power of two, with short decimals among its times.
+    np.arange(4096 - 2048, 4096 + 2048) * 1.0 / 16384,
+    np.arange(2**14 - 2048, 2**14 + 2048) * 3.0 / 196608,
+    # Blocks next to 2**50: integers, and times a quarter apart.
+    np.arange(2**50 - 4096, 2**50) * 1.0,
+    (np.arange(2**52 - 4096, 2**52) * 1.0) / 4,
+    # Runs across each power of ten in the range.
+    *(np.arange(-700, 700) * 10.0**j / 1000 + 10.0**j for j in range(-3, 15)),
+], ids=lambda times: f"{times[0]:.4g}..{times[-1]:.4g}")
+def test_decimal_cells_equal_repr_on_sorted_runs(times):
+    assert np.all(np.diff(times) > 0) and 1e-4 <= times[0] and times[-1] < 2**50
+    assert decimal_cells_text(times) == repr_text(times.tolist())
+
+
+def int_cells_text(values, sep, dtype=np.int64):
+    cells = sim._int_cells(np.array(values, dtype=dtype), sep)
+    return cells[cells != 0].tobytes().decode("ascii")
+
+
+@pytest.mark.parametrize("sep", [ord(c) for c in " ,\nc."], ids=repr)
+def test_int_cells_equal_str_over_the_int64_range(sep):
+    # Every separator the exports use: frame .txt spaces, csv commas and
+    # newlines, report.csv's "r0c0" and the point of bucket.csv times.
+    gen = np.random.default_rng(27)
+    edges = [-(2**63), -(2**63) + 1, 2**63 - 1, 2**63 - 2, 0, -1, 1]
+    edges += [sign * (10 ** (4 * j) + d) for j in range(5) for d in (-1, 0, 1) for sign in (1, -1)]
+    edges += [10**18 - 1, 10**18, -(10**18) + 1]
+    spread = (np.sign(gen.normal(size=3000)) * 10 ** gen.uniform(0, 18.9, 3000)).astype(np.int64)
+    uniform = gen.integers(-(2**63), 2**63 - 1, 3000, dtype=np.int64, endpoint=True)
+    for values in (edges, spread.tolist(), uniform.tolist(), [-(2**63)], [9_999], [0], []):
+        assert int_cells_text(values, sep) == "".join(f"{v}{chr(sep)}" for v in values)
+    # Nonnegative arrays, as frames and buckets are, and report.csv's uint64 columns.
+    for values in ([0, 7, 10_000, 99_999_999], [2**64 - 1, 0, 10**19], [0]):
+        dtype = np.uint64 if max(values) >= 2**63 else np.int64
+        assert int_cells_text(values, sep, dtype) == "".join(f"{v}{chr(sep)}" for v in values)
+    assert sim._int_cells(np.zeros(0, dtype=np.int64), sep).shape[0] == 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     nk=st.sampled_from([(3, 1), (6, 2), (7, 1)]),
