@@ -88,10 +88,9 @@ def _cmd_patterns(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    spec = make_spec(args.n, args.k)
-    schedule = build_schedule(spec, args.order_mode)
+    schedule = build_schedule(make_spec(args.n, args.k), args.order_mode)
     schedule_to_csv(schedule, args.out)
-    print(f"wrote {len(schedule.rows)} slots to {args.out}")
+    print(f"wrote {schedule.spec.slots_per_revolution} slots to {args.out}")
     return 0
 
 
@@ -109,7 +108,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
         print(f"wrote drawing to {args.svg}")
     if args.csv:
         layout_to_csv(layout, args.csv)
-        print(f"wrote {len(schedule.rows)} hole groups to {args.csv}")
+        print(f"wrote {spec.slots_per_revolution} hole groups to {args.csv}")
     return 0
 
 

@@ -56,7 +56,23 @@ class PartitionSpec:
 
     n: int
     k: int
-    n_cell: int
+
+    def __post_init__(self):
+        if self.n < 1 or self.k < 1:
+            raise ValueError(f"n and k must be positive, got n={self.n}, k={self.k}")
+        if self.n % self.k != 0:
+            raise ValueError(f"k must divide n: {self.n} % {self.k} != 0")
+        if self.n_cell < 3:
+            raise ValueError(f"cell width n/k = {self.n_cell} is too small, need >= 3")
+        if not is_supported_order(self.n_cell + 1):
+            raise ValueError(
+                f"cell width n/k = {self.n_cell} needs pattern order {self.n_cell + 1}, "
+                "which is not a supported (power-of-two) order"
+            )
+
+    @property
+    def n_cell(self) -> int:
+        return self.n // self.k
 
     @property
     def slots_per_revolution(self) -> int:
@@ -65,19 +81,7 @@ class PartitionSpec:
 
 def make_spec(n: int, k: int) -> PartitionSpec:
     """Validate and build the partition for object side ``n`` and ``k`` cells."""
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be positive, got n={n}, k={k}")
-    if n % k != 0:
-        raise ValueError(f"k must divide n: {n} % {k} != 0")
-    n_cell = n // k
-    if n_cell < 3:
-        raise ValueError(f"cell width n/k = {n_cell} is too small, need >= 3")
-    if not is_supported_order(n_cell + 1):
-        raise ValueError(
-            f"cell width n/k = {n_cell} needs pattern order {n_cell + 1}, "
-            "which is not a supported (power-of-two) order"
-        )
-    return PartitionSpec(n=n, k=k, n_cell=n_cell)
+    return PartitionSpec(n, k)
 
 
 @dataclass(frozen=True)
@@ -92,45 +96,45 @@ class SlotDescriptor:
 
 @dataclass(frozen=True, eq=False)
 class ScanSchedule:
-    """One disk revolution: all n^2 slots in a declared order.
+    """One disk revolution: all n^2 slots of ``spec`` in ``order_mode``.
 
     Slot ``s`` lights cell ``cells[s]`` of row ``rows[s]`` with pattern
-    ``pattern_index[s]``; the three are int arrays of one length.
+    ``pattern_index[s]``: read-only int arrays, built on first read.
     """
 
     spec: PartitionSpec
     order_mode: str
-    rows: np.ndarray
-    cells: np.ndarray
-    pattern_index: np.ndarray
+
+    def __post_init__(self):
+        if self.order_mode not in ORDER_MODES:
+            raise ValueError(f"order_mode must be one of {ORDER_MODES}, got {self.order_mode!r}")
+
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cells, pattern_index), from one ``np.indices`` call."""
+        spec = self.spec
+        if self.order_mode == "pattern_major":
+            pattern, row, cell = np.indices((spec.n_cell, spec.n, spec.k)).reshape(3, -1)
+        else:
+            row, cell, pattern = np.indices((spec.n, spec.k, spec.n_cell)).reshape(3, -1)
+        for array in (row, cell, pattern):
+            array.flags.writeable = False
+        return row, cell, pattern
+
+    rows = property(lambda self: self._grid[0])
+    cells = property(lambda self: self._grid[1])
+    pattern_index = property(lambda self: self._grid[2])
 
     @cached_property
     def slots(self) -> tuple[SlotDescriptor, ...]:
         """The slots as descriptors, for per-slot oracles such as place_pattern."""
-        return tuple(SlotDescriptor(s, *triple) for s, triple in enumerate(_triples(self)))
-
-
-def _triples(schedule: ScanSchedule):
-    """(row, cell, pattern_index) of each slot in order, as Python ints."""
-    return zip(schedule.rows.tolist(), schedule.cells.tolist(), schedule.pattern_index.tolist())
+        triples = zip(*(array.tolist() for array in self._grid))
+        return tuple(SlotDescriptor(s, *triple) for s, triple in enumerate(triples))
 
 
 def build_schedule(spec: PartitionSpec, order_mode: str = "pattern_major") -> ScanSchedule:
-    """Enumerate one revolution of (row, cell, pattern) slots.
-
-    ``pattern_major`` varies pattern_index slowest; ``part_major`` varies
-    (row, cell) slowest.  Deterministic for a given spec and mode.  The
-    arrays are read-only.
-    """
-    if order_mode not in ORDER_MODES:
-        raise ValueError(f"order_mode must be one of {ORDER_MODES}, got {order_mode!r}")
-    if order_mode == "pattern_major":
-        pattern, row, cell = np.indices((spec.n_cell, spec.n, spec.k)).reshape(3, -1)
-    else:
-        row, cell, pattern = np.indices((spec.n, spec.k, spec.n_cell)).reshape(3, -1)
-    for array in (row, cell, pattern):
-        array.flags.writeable = False
-    return ScanSchedule(spec, order_mode, rows=row, cells=cell, pattern_index=pattern)
+    """One revolution of ``spec`` in ``order_mode``; see ``ScanSchedule``."""
+    return ScanSchedule(spec, order_mode)
 
 
 def check_pattern_length(spec: PartitionSpec, patterns: ReducedPatternSet) -> None:
@@ -207,7 +211,8 @@ def disk_layout(
 def schedule_to_csv(schedule: ScanSchedule, path) -> None:
     """Write ``slot,row,cell,pattern`` lines in schedule order."""
     lines = ["slot,row,cell,pattern"]
-    lines += [f"{s},{row},{cell},{p}" for s, (row, cell, p) in enumerate(_triples(schedule))]
+    triples = zip(*(array.tolist() for array in schedule._grid))
+    lines += [f"{s},{row},{cell},{p}" for s, (row, cell, p) in enumerate(triples)]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -218,7 +223,7 @@ def layout_to_csv(layout: DiskLayout, path) -> None:
     lowest terms (``0/1`` for slot 0).
     """
     schedule = layout.schedule
-    count = len(schedule.rows)
+    count = schedule.spec.slots_per_revolution
     num = 360 * np.arange(count)
     gcd = np.gcd(num, count)
     bits = ["".join(map(str, row)) for row in layout.patterns.patterns.tolist()]
@@ -249,11 +254,11 @@ def export_layout_svg(layout: DiskLayout, path) -> None:
     pitch = layout.track_pitch_mm
     size = 2.0 * (radius + 2.0 * pitch)
     center = size / 2.0
-    bit_h = pitch / max(spec.n_cell, 1)
+    bit_h = pitch / spec.n_cell
     # Keep every hole group narrower than its angular pitch at the innermost track.
-    count = len(schedule.rows)
+    count = spec.slots_per_revolution
     inner_r = radius - (spec.n - 1) * pitch - pitch
-    arc = 2.0 * 3.141592653589793 * max(inner_r, pitch) / max(count, 1)
+    arc = 2.0 * 3.141592653589793 * max(inner_r, pitch) / count
     bit_w = min(pitch, 0.8 * arc)
     lit_bits = [np.flatnonzero(row).tolist() for row in layout.patterns.patterns]
     pattern_index = schedule.pattern_index.tolist()
@@ -265,7 +270,7 @@ def export_layout_svg(layout: DiskLayout, path) -> None:
         f'<circle cx="{_fmt(center)}" cy="{_fmt(center)}" r="{_fmt(radius)}" '
         'fill="none" stroke="black" stroke-width="0.2"/>',
     ]
-    for track in np.unique(schedule.rows).tolist():
+    for track in range(spec.n):
         parts.append(f'<g id="track_{track}">')
         track_r = radius - track * pitch - pitch
         for s in np.flatnonzero(schedule.rows == track).tolist():

@@ -55,17 +55,12 @@ def build_measurement_matrix(
 ) -> np.ndarray:
     """Stack one revolution's masks as rows of an (n^2, n^2) 0/1 matrix.
 
-    Row s is the flattened illumination mask of slot s.  Requires the
-    schedule to cover every (row, cell, pattern) triple exactly once.
+    Row s is the flattened illumination mask of slot s.
     """
-    spec = schedule.spec
-    n = spec.n
-    triples = [(slot.row, slot.cell, slot.pattern_index) for slot in schedule.slots]
-    if len(triples) != n * n or len(set(triples)) != n * n:
-        raise ValueError("schedule does not cover one full revolution exactly once")
-    matrix = np.zeros((n * n, n * n), dtype=np.int64)
+    count = schedule.spec.slots_per_revolution
+    matrix = np.zeros((count, count), dtype=np.int64)
     for slot in schedule.slots:
-        matrix[slot.slot_index, :] = place_pattern(spec, slot, patterns).reshape(-1)
+        matrix[slot.slot_index, :] = place_pattern(schedule.spec, slot, patterns).reshape(-1)
     return matrix
 
 

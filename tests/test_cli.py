@@ -858,6 +858,16 @@ def _run_main(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def _run_files(run_dir):
+    """A run directory's files, manifest.txt without its out_dir and workers lines."""
+    files = read_tree(run_dir)
+    lines = files["manifest.txt"].splitlines(keepends=True)
+    files["manifest.txt"] = b"".join(
+        line for line in lines if not line.startswith((b"out_dir = ", b"workers = "))
+    )
+    return files
+
+
 def _assert_refused(code, err, path):
     assert code == 2, err
     (line,) = err.splitlines()
@@ -870,8 +880,9 @@ def _assert_refused(code, err, path):
 def test_simulate_contract_over_every_setting(data):
     # Each setting of RunConfig is left out, given valid text or given a
     # near-miss.  Refused runs exit 2 with one short line and no run
-    # directory; accepted ones reload from manifest.txt, report any frame
-    # and, for n <= 14, equal the dense oracle.
+    # directory; accepted ones reload from manifest.txt, rerun to the same
+    # bytes under any workers value, report any frame and, for n <= 14,
+    # equal the dense oracle.
     settings_ = dataclasses.fields(config.RunConfig)
     missed = data.draw(st.sets(st.sampled_from([s.name for s in settings_]), max_size=1))
     # n and k are drawn as a pair, mostly one make_spec accepts.
@@ -905,13 +916,17 @@ def test_simulate_contract_over_every_setting(data):
         for name in ("object_path", "out_dir"):
             if layer.get(name):
                 layer[name] = str(root / layer[name])
-        argv = ["simulate"]
-        for setting in settings_:
-            if setting.name in layer:
-                flag = setting.metadata["flag"] or "--" + setting.name.replace("_", "-")
-                argv.append(f"{flag}={layer[setting.name]}")
+
+        def simulate_argv(layer):
+            argv = ["simulate"]
+            for setting in settings_:
+                if setting.name in layer:
+                    flag = setting.metadata["flag"] or "--" + setting.name.replace("_", "-")
+                    argv.append(f"{flag}={layer[setting.name]}")
+            return argv
+
         out = root / "run"
-        code, err = _run_main(argv)
+        code, err = _run_main(simulate_argv(layer))
         if plan is None:
             event("refused before the run")
             _assert_refused(code, err, out)
@@ -925,6 +940,15 @@ def test_simulate_contract_over_every_setting(data):
         event(f"ran, n {'<=' if n <= 14 else '>'} 14, {'some' if frames else 'no'} frames")
         cfg = config.merge_config(layer)
         assert config.merge_config(config.load_config_file(out / "manifest.txt")) == cfg
+
+        # A rerun, and one under another workers value, write the same bytes:
+        # only manifest.txt's out_dir and workers lines differ.
+        workers = data.draw(st.integers(1, 2**64).filter(lambda w: w != cfg.workers))
+        for name, change in (("rerun", {}), ("workers", {"workers": str(workers)})):
+            again = dict(layer, out_dir=str(root / name), **change)
+            assert _run_main(simulate_argv(again)) == (0, "")
+            assert _run_files(root / name) == _run_files(out)
+        assert f"workers = {workers}\n".encode() in (root / "workers" / "manifest.txt").read_bytes()
 
         frame = data.draw(st.integers(-1, frames))
         report = ["report", f"--run-dir={out}", f"--frame={frame}", f"--out={root / 'r.csv'}"]

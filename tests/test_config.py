@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ghostdisk import config, pnm, scene
+from ghostdisk import config, pnm, scene, sim
 from ghostdisk.config import ConfigError
 
 
@@ -174,6 +174,9 @@ def test_resolve_components_builds_consistent_objects():
     spec, patterns, schedule, obj, trajectory, timing = config.resolve_components(cfg)
     assert spec.n == 7 and spec.n_cell == 7
     assert patterns.pattern_length == 7
+    # Neither resolving nor simulating builds the schedule's slot arrays.
+    sim.simulate(obj, trajectory, schedule, patterns, timing)
+    assert "_grid" not in vars(schedule)
     assert len(schedule.slots) == 49
     assert obj.side == 7
     assert trajectory.mode == "static"

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,8 +37,9 @@ def test_make_spec_accepts_valid_partitions(n, k, n_cell):
     ],
 )
 def test_make_spec_rejects_invalid_partitions(n, k, message):
-    with pytest.raises(ValueError, match=message):
-        disk.make_spec(n, k)
+    for build in (disk.make_spec, disk.PartitionSpec):
+        with pytest.raises(ValueError, match=message):
+            build(n, k)
 
 
 def test_pattern_major_order():
@@ -76,8 +80,46 @@ def test_slot_indices_are_sequential():
 
 def test_build_schedule_rejects_unknown_mode():
     spec = disk.make_spec(3, 1)
-    with pytest.raises(ValueError, match="order_mode"):
-        disk.build_schedule(spec, "zigzag")
+    message = "order_mode must be one of ('part_major', 'pattern_major'), got 'zigzag'"
+    for build in (disk.build_schedule, disk.ScanSchedule):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(spec, "zigzag")
+
+
+def test_spec_and_schedule_hold_only_their_defining_values():
+    spec = disk.PartitionSpec(35, 5)
+    assert [f.name for f in dataclasses.fields(spec)] == ["n", "k"]
+    assert spec == disk.make_spec(35, 5) and spec.n_cell == 7
+    schedule = disk.ScanSchedule(spec, "part_major")
+    assert [f.name for f in dataclasses.fields(schedule)] == ["spec", "order_mode"]
+    assert "_grid" not in vars(schedule)
+    assert schedule.rows is schedule.rows and "_grid" in vars(schedule)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (6, 2), (35, 5)])
+@pytest.mark.parametrize("mode", disk.ORDER_MODES)
+def test_slot_arrays_equal_np_indices(n, k, mode):
+    # The arrays build_schedule stored when it still built them up front.
+    if mode == "pattern_major":
+        pattern, row, cell = np.indices((n // k, n, k)).reshape(3, -1)
+    else:
+        row, cell, pattern = np.indices((n, k, n // k)).reshape(3, -1)
+    schedule = disk.build_schedule(disk.make_spec(n, k), mode)
+    for got, want in zip((schedule.rows, schedule.cells, schedule.pattern_index), (row, cell, pattern)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", disk.ORDER_MODES)
+def test_schedule_of_large_partition_allocates_nothing(mode):
+    # n = 4095 has 16.8M slots: three int64 arrays of them would be 384 MiB.
+    tracemalloc.start()
+    try:
+        schedule = disk.build_schedule(disk.make_spec(4095, 1), mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert schedule.spec.slots_per_revolution == 4095**2
+    assert peak < 64 * 1024
 
 
 def test_place_pattern_masks_single_cell():

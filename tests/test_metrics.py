@@ -51,17 +51,16 @@ def test_measurement_matrix_is_block_diagonal_gram():
                 assert gram_full[p, q] == coeffs.c_min
 
 
-def test_measurement_matrix_rejects_partial_schedule():
+def test_measurement_matrix_covers_one_revolution_in_either_order():
+    # A schedule holds only its partition and slot order, so none can be cut
+    # to part of a revolution: each order stacks the same n^2 distinct masks.
     spec, patterns, schedule = make_setup()
-    short = disk.ScanSchedule(
-        spec=spec,
-        order_mode="pattern_major",
-        rows=schedule.rows[:-1],
-        cells=schedule.cells[:-1],
-        pattern_index=schedule.pattern_index[:-1],
-    )
-    with pytest.raises(ValueError, match="revolution"):
-        metrics.build_measurement_matrix(short, patterns)
+    with pytest.raises(TypeError):
+        disk.ScanSchedule(spec, "pattern_major", rows=schedule.rows[:-1])
+    a = metrics.build_measurement_matrix(schedule, patterns)
+    b = metrics.build_measurement_matrix(disk.build_schedule(spec, "part_major"), patterns)
+    assert len(np.unique(a, axis=0)) == spec.slots_per_revolution
+    assert np.array_equal(np.unique(a, axis=0), np.unique(b, axis=0))
 
 
 def test_oracle_reconstruct_shapes():
