@@ -109,17 +109,21 @@ class ScanSchedule:
         if self.order_mode not in ORDER_MODES:
             raise ValueError(f"order_mode must be one of {ORDER_MODES}, got {self.order_mode!r}")
 
-    @cached_property
-    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cells, pattern_index), from one ``np.indices`` call."""
+    def locate(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cells, pattern_index) of the slot indices ``slots``."""
         spec = self.spec
         if self.order_mode == "pattern_major":
-            pattern, row, cell = np.indices((spec.n_cell, spec.n, spec.k)).reshape(3, -1)
+            pattern, row, cell = np.unravel_index(slots, (spec.n_cell, spec.n, spec.k))
         else:
-            row, cell, pattern = np.indices((spec.n, spec.k, spec.n_cell)).reshape(3, -1)
-        for array in (row, cell, pattern):
-            array.flags.writeable = False
+            row, cell, pattern = np.unravel_index(slots, (spec.n, spec.k, spec.n_cell))
         return row, cell, pattern
+
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        grid = self.locate(np.arange(self.spec.slots_per_revolution))
+        for array in grid:
+            array.flags.writeable = False
+        return grid
 
     rows = property(lambda self: self._grid[0])
     cells = property(lambda self: self._grid[1])
@@ -208,12 +212,31 @@ def disk_layout(
 # ---------------------------------------------------------------------------
 
 
+def _write_csv(path, header: str, schedule: ScanSchedule, columns) -> None:
+    """Write ``header``, then a line per slot of ``schedule``, in blocks of slots.
+
+    ``columns(s)`` gives slots ``s``' ``(S, c)`` int fields, then any ``(S, w)``
+    ASCII ones.  A block holds at most ``sim.BLOCK_SLOTS`` slots and 2**20 bits.
+    """
+    from .sim import BLOCK_SLOTS, _int_columns, _join  # sim imports this module
+
+    count, n_cell = schedule.spec.slots_per_revolution, schedule.spec.n_cell
+    block = max(1, min(BLOCK_SLOTS, (1 << 20) // n_cell))
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for lo in range(0, count, block):
+            s = np.arange(lo, min(lo + block, count))
+            numbers, *text = columns(s)
+            fields = [*_int_columns(numbers), *([t] for t in text)]
+            parts = [part for field in fields for part in (*field, ord(","))]
+            parts[-1] = ord("\n")
+            fh.write(_join(len(s), parts).tobytes().translate(None, b"\0"))
+
+
 def schedule_to_csv(schedule: ScanSchedule, path) -> None:
     """Write ``slot,row,cell,pattern`` lines in schedule order."""
-    lines = ["slot,row,cell,pattern"]
-    triples = zip(*(array.tolist() for array in schedule._grid))
-    lines += [f"{s},{row},{cell},{p}" for s, (row, cell, p) in enumerate(triples)]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    _write_csv(path, "slot,row,cell,pattern\n", schedule,
+               lambda s: [np.stack([s, *schedule.locate(s)], axis=1)])
 
 
 def layout_to_csv(layout: DiskLayout, path) -> None:
@@ -224,16 +247,15 @@ def layout_to_csv(layout: DiskLayout, path) -> None:
     """
     schedule = layout.schedule
     count = schedule.spec.slots_per_revolution
-    num = 360 * np.arange(count)
-    gcd = np.gcd(num, count)
-    bits = ["".join(map(str, row)) for row in layout.patterns.patterns.tolist()]
-    columns = (schedule.rows, schedule.cells, schedule.pattern_index, num // gcd, count // gcd)
-    lines = ["slot,row,cell,pattern,track,angle_num,angle_den,bits"]
-    lines += [
-        f"{s},{row},{cell},{p},{row},{a},{b},{bits[p]}"
-        for s, (row, cell, p, a, b) in enumerate(zip(*(c.tolist() for c in columns)))
-    ]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    bits = (layout.patterns.patterns + ord("0")).astype(np.uint8)  # each pattern's digits
+
+    def columns(s):
+        rows, cells, pattern = schedule.locate(s)
+        gcd = np.gcd(360 * s, count)
+        numbers = [s, rows, cells, pattern, rows, 360 * s // gcd, count // gcd]
+        return np.stack(numbers, axis=1), np.take(bits, pattern, axis=0)
+
+    _write_csv(path, "slot,row,cell,pattern,track,angle_num,angle_den,bits\n", schedule, columns)
 
 
 def _fmt(value: float) -> str:

@@ -15,9 +15,9 @@ costs.  The invariants the code keeps, and where each is argued:
 * Every walk value lies within +-peak (``_check_frame_peak``): float64
   below ``2**53``, int64 past it, exact either way.  Its ``dB`` keeps
   schedule order, so a slot range adds to at most two slices of it.
-* A streamed run holds arrays that do not grow with its length
-  (``simulate``, ``_windows``), and exports take runs of whole rows of at
-  most ``FRAME_BLOCK_VALUES`` values.
+* A streamed run holds arrays that do not grow with its length; frames
+  accumulate in the batch its sink reads (``_windows``), and exports take
+  runs of whole rows of at most ``FRAME_BLOCK_VALUES`` values.
 * Exports spell numbers in base-10**4 groups from one table
   (``_int_words``), each column cut to the digits its largest value needs
   and moved into one buffer per run as one item per row (``_join``).
@@ -65,7 +65,7 @@ WINDOW_MODES = ("tumbling", "sliding")
 # and noise plus any bucket (at most 255 * n_cell) fits in int64.
 NOISE_SIGMA_MAX = 5e17
 
-# Slots per block of bucket products, noise and accumulator updates.
+# Slots per block of bucket products, noise and window updates.
 BLOCK_SLOTS = 4096
 
 # Posed-cell pixels per chunk of a block's bucket products (whole slots),
@@ -212,6 +212,7 @@ def simulate(
             frames[frame_lo : frame_lo + len(images)] = images
 
     for part in _windows(schedule, patterns.patterns, timing, blocks, dtype):
+        part[1].flags.writeable = part[3].flags.writeable = False  # rows, images: walk state
         sink(*part)
     return SimulationResult(frames=frames, trace=BucketTrace(buckets=buckets, slot_dt=slot_dt))
 
@@ -324,10 +325,10 @@ def _check_frame_peak(
     ``ceil(window_slots / per_rev)`` times, and a pixel is lit by at most
     ``per_pixel`` slots of a revolution (the most lit bits of a pattern
     column; both are ``c_max`` for the symmetric reduced matrix).  Buckets
-    are nonnegative, so the running accumulator never exceeds the product;
-    like ``NOISE_SIGMA_MAX`` it is a worst case.
+    are nonnegative, so no frame value exceeds the product; like
+    ``NOISE_SIGMA_MAX`` it is a worst case.
 
-    The same bound covers the window update ``acc += R^T @ dB``.  A
+    The same bound covers the window update ``frame += R^T @ dB``.  A
     frame's ``dB`` subtracts the slots leaving the previous window and adds
     those entering the new one, so it mixes signs.  But every partial sum
     of a pixel's projection is a partial sum over the entering slots minus
@@ -341,7 +342,9 @@ def _check_frame_peak(
     sign), of the slice adds into ``dB``, or of the GEMM in any order, is
     one of the sums or differences above, so every value the walk forms is
     an integer within +-peak: exact in float64 below ``2**53``, where the
-    walk runs in float64 (int64 otherwise).
+    walk runs in float64 (int64 otherwise).  It adds each product into the
+    int64 frame through an unsafe cast, also exact: the old values and the
+    sums are counts in [0, peak], so they pass to float64 and back unchanged.
     """
     per_slot = int(patterns.patterns.sum(axis=1).max())
     per_pixel = int(patterns.patterns.sum(axis=0).max())
@@ -376,13 +379,13 @@ def _windows(
     blocks: Iterable[tuple[int, np.ndarray]],
     dtype: type[np.generic],
 ) -> Iterator[tuple[int, np.ndarray, int, np.ndarray]]:
-    """Exposure frames of either window mode, from one running accumulator.
+    """Exposure frames of either window mode, each accumulated in the frame batch.
 
     Each ``(b_lo, buckets)`` block of ``blocks`` goes on as the sink calls
     ``simulate`` documents, with the frames whose window ends inside it.
-    README's "Determinism and noise" describes the walk: the slot ring,
-    ``dB`` in schedule order and its projection.  The ring, ``dB``, the
-    accumulator and the matrix share ``dtype``; frames leave as int64.
+    README's "Determinism and noise" describes the walk: the slot ring, ``dB``
+    in schedule order, and its projection into each frame's batch entry,
+    zeroed or copied from the last frame; ring, ``dB`` and matrix share ``dtype``.
     """
     spec = schedule.spec
     per_rev, n_cell, cells = spec.slots_per_revolution, spec.n_cell, spec.n * spec.k
@@ -390,7 +393,6 @@ def _windows(
     window = timing.persistence_window
     slot_dt = timing.slot_duration(per_rev)
     step, count = window_grid(timing, slot_dt)
-    acc = np.zeros((cells, n_cell, 3), dtype=dtype)
     sums = np.zeros((per_rev, 3), dtype=dtype)  # dB: the pending buckets per schedule slot
     # dB per (row * k + cell, pattern): a view of the schedule's grid in either order.
     grid = (sums.reshape(-1, cells, 3).swapaxes(0, 1) if pattern_major
@@ -400,6 +402,7 @@ def _windows(
     chunk = max(1, BLOCK_SLOTS // n_cell)
     matrix_t = np.ascontiguousarray(matrix.T, dtype=dtype)
     batch = np.empty((max(1, FRAME_BLOCK_VALUES // (3 * per_rev)), spec.n, spec.n, 3), np.int64)
+    frames = batch.reshape(len(batch), cells, n_cell, 3)  # each frame in dB's cell layout
     # Window i holds slots [ceil(i * a / d), ceil((i * a + w) / d)): step and
     # window in slots, over a common denominator d.
     d = math.lcm((step / slot_dt).denominator, (window / slot_dt).denominator)
@@ -431,17 +434,18 @@ def _windows(
                     else:
                         touched[j0 // n_cell : (j1 - 1) // n_cell + 1] = True
 
-    def project() -> None:
-        # acc += R^T @ dB over each run of touched cells, chunk cells at a time.
+    def project(frame: np.ndarray) -> None:
+        # frame += R^T @ dB over each run of touched cells, chunk cells at a time.
         edges = np.flatnonzero(flags[1:] != flags[:-1]).tolist()
         touched[:] = False
         for c0, c1 in zip(edges[::2], edges[1::2]):
             for lo in range(c0, c1, chunk):
                 hi = min(lo + chunk, c1)
-                acc[lo:hi] += matrix_t @ grid[lo:hi]
+                np.add(frame[lo:hi], matrix_t @ grid[lo:hi], out=frame[lo:hi], casting="unsafe")
                 grid[lo:hi] = 0
 
     i = cur_lo = cur_hi = 0
+    last = None  # the batch index of the last frame, while the next window overlaps it
     for b_lo, buckets in blocks:
         b_hi = b_lo + len(buckets)
         history[b_lo % ring : b_lo % ring + len(buckets)] = buckets
@@ -449,18 +453,19 @@ def _windows(
         while i < count:
             lo, hi = -(-i * a // d), -(-(i * a + w) // d)
             if lo >= cur_hi:
-                acc[...] = 0
+                last = None
                 cur_lo = cur_hi = lo
             add(cur_lo, lo, -1)
             add(cur_hi, min(hi, b_hi), 1)
             cur_lo, cur_hi = lo, max(cur_hi, min(hi, b_hi))
             if hi > b_hi:
                 break
-            project()
-            batch[done] = acc.reshape(spec.n, spec.n, 3)
-            i, done = i + 1, done + 1
+            if last != done:  # a fresh window starts from zero
+                frames[done] = 0 if last is None else frames[last]
+            project(frames[done])
+            i, done, last = i + 1, done + 1, done
             if done == len(batch):
-                yield slot_lo, buckets[slot_lo - b_lo :], i - done, batch
+                yield slot_lo, buckets[slot_lo - b_lo :], i - done, batch[:done]
                 slot_lo, done = b_hi, 0
         if slot_lo < b_hi or done:
             yield slot_lo, buckets[slot_lo - b_lo :], i - done, batch[:done]

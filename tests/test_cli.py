@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from ghostdisk import cli, config, disk, metrics, pnm, scene, sim
+from ghostdisk import cli, config, disk, hadamard, metrics, pnm, scene, sim
 from ghostdisk.cli import main
 from test_sim import assert_matches_dense_oracle
 
@@ -970,3 +970,101 @@ def test_simulate_contract_over_every_setting(data):
             )
             stored = [(out / f"frame_{i:04d}.txt").read_bytes() for i in range(frames)]
             assert sim.frame_texts(result.frames) == stored
+
+
+def _disk_flags(command) -> dict[str, st.SearchStrategy[str]]:
+    """Valid text of each flag of ``schedule`` or ``layout`` but ``--n`` and ``--k``.
+
+    Drawn geometry fits every partition of at most 40 rows."""
+    flags = {"--order-mode": st.sampled_from(disk.ORDER_MODES)}
+    if command == "schedule":
+        return {**flags, "--out": st.just("schedule.csv")}
+    return {
+        **flags,
+        "--radius-mm": st.floats(60, 200).map(repr),
+        "--track-pitch-mm": st.floats(0.01, 1.5).map(repr),
+        "--svg": st.just("layout.svg"),
+        "--csv": st.just("layout.csv"),
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_schedule_and_layout_contract_over_drawn_flags(data):
+    # Each flag of schedule or layout is left out, given valid text or given
+    # a near-miss.  argparse refuses a missing required flag or a value its
+    # type cannot parse with usage lines and one error line; any other
+    # refusal exits 2 (3 for an unwritable path) with one short line; a
+    # refused run writes no file, and an accepted one the bytes of the
+    # per-line writers.
+    from test_disk import layout_csv_lines_oracle, schedule_csv_oracle
+
+    command = data.draw(st.sampled_from(["schedule", "layout"]))
+    counts = st.integers(1, 40)
+    pair = data.draw(st.one_of(st.sampled_from(PARTITIONS), st.tuples(counts, counts)))
+    flags = {"--n": st.just(str(pair[0])), "--k": st.just(str(pair[1])), **_disk_flags(command)}
+    missed = data.draw(st.sets(st.sampled_from(sorted(flags)), max_size=1))
+    given_ = {}
+    for flag, valid in flags.items():
+        if flag in missed:
+            # A path flag takes only the empty text: any other names a file,
+            # and schedule's default --out one in the working directory.
+            pool = [""] if flag in ("--out", "--svg", "--csv") else [None, *NEAR_MISSES]
+            value = data.draw(st.sampled_from(pool))
+            if value is not None:
+                given_[flag] = value
+        elif flag in ("--n", "--k", "--out", "--csv") or data.draw(st.booleans()):
+            given_[flag] = data.draw(valid)
+    try:
+        spec = disk.make_spec(int(given_["--n"]), int(given_["--k"]))
+    except (KeyError, ValueError):
+        spec = None
+    if spec is not None:
+        assume(spec.slots_per_revolution <= 1600)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        argv = [command] + [
+            f"{flag}={root / value if flag in ('--out', '--svg', '--csv') and value else value}"
+            for flag, value in given_.items()
+        ]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code, parsed = main(argv), True
+            except SystemExit as exc:
+                code, parsed = exc.code, False
+        err = err.getvalue()
+        written = sorted(p.name for p in root.iterdir())
+        if not parsed:
+            event("refused by argparse")
+            assert code == 2
+            assert err.splitlines()[0].startswith(f"usage: ghostdisk {command} ")
+            assert err.splitlines()[-1].startswith(f"ghostdisk {command}: error: ")
+            assert written == []
+            return
+        if code:
+            event(f"{command} refused with exit {code}")
+            assert code in (2, 3), err
+            (line,) = err.splitlines()
+            assert err == line + "\n" and len(err.encode()) < 250
+            assert written == []
+            return
+        event(f"{command} written")
+        assert err == ""
+        schedule = disk.build_schedule(spec, given_.get("--order-mode", "pattern_major"))
+        if command == "schedule":
+            assert written == ["schedule.csv"]
+            assert (root / "schedule.csv").read_bytes() == schedule_csv_oracle(schedule)
+            return
+        patterns = hadamard.reduce_matrix(hadamard.sylvester_hadamard(spec.n_cell + 1))
+        layout = disk.disk_layout(schedule, patterns, float(given_.get("--radius-mm", 60.0)),
+                                  float(given_.get("--track-pitch-mm", 1.5)))
+        assert written == sorted(name for flag, name in (("--csv", "layout.csv"),
+                                                         ("--svg", "layout.svg"))
+                                 if given_.get(flag))
+        if "layout.csv" in written:
+            assert (root / "layout.csv").read_bytes() == layout_csv_lines_oracle(layout)
+        if "layout.svg" in written:
+            lit = int(patterns.patterns[schedule.pattern_index].sum())
+            assert (root / "layout.svg").read_text().count("<rect ") == lit

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ghostdisk import disk, hadamard
+from ghostdisk import disk, hadamard, sim
 
 
 def patterns_for(n_cell):
@@ -218,6 +218,81 @@ def test_schedule_csv_round_trip(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "9154f25a6338cedede723c5df2aa340aa5cb3078ced48d53efb00f4a909bf320"
     )
+
+
+def schedule_csv_oracle(schedule) -> bytes:
+    """The schedule CSV from the slot arrays, one f-string per line."""
+    lines = ["slot,row,cell,pattern"]
+    triples = zip(schedule.rows.tolist(), schedule.cells.tolist(), schedule.pattern_index.tolist())
+    lines += [f"{s},{row},{cell},{p}" for s, (row, cell, p) in enumerate(triples)]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def layout_csv_lines_oracle(layout) -> bytes:
+    """The layout CSV from the slot arrays, one f-string per line, angles by ``np.gcd``."""
+    schedule = layout.schedule
+    count = schedule.spec.slots_per_revolution
+    num = 360 * np.arange(count)
+    gcd = np.gcd(num, count)
+    bits = ["".join(map(str, row)) for row in layout.patterns.patterns.tolist()]
+    columns = (schedule.rows, schedule.cells, schedule.pattern_index, num // gcd, count // gcd)
+    lines = ["slot,row,cell,pattern,track,angle_num,angle_den,bits"]
+    lines += [
+        f"{s},{row},{cell},{p},{row},{a},{b},{bits[p]}"
+        for s, (row, cell, p, a, b) in enumerate(zip(*(c.tolist() for c in columns)))
+    ]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("mode", disk.ORDER_MODES)
+def test_csv_blocks_equal_per_line_writers(tmp_path, monkeypatch, mode, block):
+    # Blocks of one slot, of 7 (never a row of either grid) and the default,
+    # which holds a whole revolution here.
+    monkeypatch.setattr(sim, "BLOCK_SLOTS", block)
+    for n, k in ((3, 1), (6, 2), (21, 3), (35, 5)):
+        schedule = disk.build_schedule(disk.make_spec(n, k), mode)
+        layout = disk.disk_layout(schedule, patterns_for(n // k))
+        disk.schedule_to_csv(schedule, tmp_path / "schedule.csv")
+        disk.layout_to_csv(layout, tmp_path / "layout.csv")
+        assert (tmp_path / "schedule.csv").read_bytes() == schedule_csv_oracle(schedule)
+        assert (tmp_path / "layout.csv").read_bytes() == layout_csv_lines_oracle(layout)
+
+
+# sha256 of the schedule and layout CSVs at n = 511, k = 1 (radius 800 mm),
+# as the per-line writers wrote them.
+RECORDED_LARGE_EXPORTS = {
+    "pattern_major": (
+        "c24e6aac0976c82bf709fed908ddfbd08dc765571b3a50653b05fff4d7abf305",
+        "788e06db4f38e16c8b10a3917f7e3b9a21a7bd2bb4620b26f281dd9ed0fed2e4",
+    ),
+    "part_major": (
+        "91a46ef0d06068b61ee12af9c7a332545d5e04f68f0e1594b9adff8e5979a1c7",
+        "11db05e65778e2c662d553d92eaa4bdb81bd9d1c2a4337ba77c80a703d376c10",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RECORDED_LARGE_EXPORTS))
+def test_csv_exports_at_n511_trace_flat_in_the_slot_count(tmp_path, mode):
+    # 261,121 slots: the per-line writers held every line as a str, 214 MB
+    # and 481 MB of peak RSS for 17 and 136 MiB files.  Blocks of 4,096 slots
+    # (2,052 for the layout, capped at 2**20 pattern bits) hold a few MiB.
+    schedule = disk.build_schedule(disk.make_spec(511, 1), mode)
+    layout = disk.disk_layout(schedule, patterns_for(511), radius_mm=800.0)
+    digests, peaks = [], []
+    for write, arg, name in ((disk.schedule_to_csv, schedule, "schedule.csv"),
+                             (disk.layout_to_csv, layout, "layout.csv")):
+        tracemalloc.start()
+        try:
+            write(arg, tmp_path / name)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        digests.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+    assert tuple(digests) == RECORDED_LARGE_EXPORTS[mode]
+    assert peaks[0] < 1.5 * 2**20 and peaks[1] < 5 * 2**20, peaks
+    assert "_grid" not in vars(schedule)  # no slot array was built
 
 
 # sha256 of the schedule CSV, layout CSV and layout SVG (default geometry),

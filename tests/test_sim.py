@@ -1603,6 +1603,99 @@ def test_run_without_complete_window_returns_zero_frames(window_mode, collect):
     assert [len(frames) for *_, frames in calls] == ([] if collect else [0])
 
 
+# (window mode, window slots, noise sigma) of 200-slot n = 7 runs over
+# 40-slot blocks.  Sliding frames of 30 slots complete 11 in the first block
+# and 40 in each later one; tumbling ones of 15 slots fill batches in
+# several entries, and of 90 slots span three blocks each.  At sigma 1e16
+# the frame bound passes 2**53 and the walk runs in int64.
+BATCH_WALKS = {
+    "sliding": ("sliding", 30, 2.0),
+    "sliding_int64": ("sliding", 30, 1e16),
+    "tumbling": ("tumbling", 15, 2.0),
+    "tumbling_across_blocks": ("tumbling", 90, 2.0),
+}
+
+
+@pytest.mark.parametrize("per_batch", [1, 2, 3])
+@pytest.mark.parametrize("order_mode", disk.ORDER_MODES)
+@pytest.mark.parametrize("walk", sorted(BATCH_WALKS))
+def test_frames_built_in_the_batch_match_collected_run_and_dense_oracle(
+    monkeypatch, walk, order_mode, per_batch
+):
+    # Each frame accumulates in its own batch entry, from zero or from the
+    # last frame.  With 1 to 3 frames a batch, that frame sits in the same
+    # entry, in the entry before, at the end of a batch a sink call was
+    # handed, or at the end of a block's last, partial call.
+    window_mode, window_slots, sigma = BATCH_WALKS[walk]
+    spec, patterns, schedule = make_setup(n=7, k=1, order_mode=order_mode)
+    monkeypatch.setattr(sim, "FRAME_BLOCK_VALUES", per_batch * 3 * 49)
+    monkeypatch.setattr(sim, "BLOCK_SLOTS", 40)
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(window_slots, 49),
+        window_mode=window_mode, total_duration=Fraction(200, 49),
+    )
+    peak = sim._check_frame_peak(patterns, 49, window_slots, sigma)
+    assert (peak >= 2**53) == (walk == "sliding_int64")
+    traj = scene.Trajectory(mode="linear", velocity=(Fraction(3, 2), Fraction(-1)))
+    obj = random_scene(7, 40)
+    calls, frames = [], []
+
+    def sink(slot_lo, rows, frame_lo, images):
+        calls.append(len(images))
+        frames.append(images.copy())
+
+    collected = sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=sigma, seed=16)
+    sim.simulate(obj, traj, schedule, patterns, timing, noise_sigma=sigma, seed=16, sink=sink)
+    assert max(calls) <= per_batch
+    if walk.startswith("sliding") and per_batch > 1:
+        # A block's last call carried a partial batch, and frames followed it.
+        assert any(0 < size < per_batch for size in calls[:-1])
+    assert np.array_equal(np.concatenate(frames), collected.frames)
+    assert_matches_dense_oracle(collected, timing, schedule, patterns, obj, traj, sigma, 16)
+
+
+@pytest.mark.parametrize("target", ["buckets", "images"])
+def test_sink_gets_read_only_arrays(target):
+    # The images are the walk's own frame batch: a sink writing into them
+    # would change the frames that follow.
+    spec, patterns, schedule = make_setup(n=7, k=1)
+    timing = sim.TimingConfig(window_mode="sliding", total_duration=Fraction(2, 5))
+
+    def sink(slot_lo, rows, frame_lo, images):
+        assert not rows.flags.writeable and not images.flags.writeable
+        (rows if target == "buckets" else images)[:] = 0
+
+    with pytest.raises(ValueError, match="read-only"):
+        sim.simulate(random_scene(7, 41), scene.Trajectory(), schedule, patterns, timing,
+                     sink=sink)
+
+
+def test_streamed_tumbling_run_at_n155_holds_the_batch_and_db_and_no_accumulator():
+    import tracemalloc
+
+    spec, patterns, schedule = make_setup(n=155, k=5)
+    obj = scene.builtin_letter("T", 155, "white")
+    timing = sim.TimingConfig(
+        revolution_period=Fraction(1), persistence_window=Fraction(1), total_duration=Fraction(1),
+    )
+
+    def streamed_peak():
+        tracemalloc.start()
+        try:
+            sim.simulate(obj, scene.Trajectory(), schedule, patterns, timing, noise_sigma=1.0,
+                         seed=3, sink=lambda *part: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    streamed_peak()  # first-call caches
+    frame = 155 * 155 * 3 * 8  # 0.55 MiB: the one-frame batch, and dB
+    # Beside them: a block's buckets, ring and noise temporaries, the posed
+    # scene and one product chunk, about 1.2 MiB, none growing with n.  A
+    # float64 accumulator would add another frame.
+    assert streamed_peak() <= 2 * frame + 1.5 * 2**20
+
+
 def step_offsets(velocity, slot_dt, hold, n, slot_count):
     """Each slot's signed ``sim._pose_steps`` count on one axis."""
     steps = sim._pose_steps(velocity, hold or slot_dt, slot_dt, n, slot_count)
